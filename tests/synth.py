@@ -62,3 +62,40 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int) -> DirectedGraph:
         g.add_arc(e[0], e[1])
         g.add_arc(e[1], e[0])
     return g
+
+
+def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGraph:
+    """Seeded digraph made of weak components of the given sizes.
+
+    Components occupy consecutive node ranges. Each is a random tree plus
+    one extra arc per node, half of them aimed at the component's first 8
+    nodes, so a few hubs form. Every fifth node of a component is a sink:
+    its arcs all point into it, so its out-degree is 0. A link between two
+    sinks is dropped, which splits a few sinks off as isolated nodes.
+    """
+    rng = random.Random(seed)
+    g = DirectedGraph.with_node_count(sum(sizes))
+    lo = 0
+    for size in sizes:
+
+        def is_sink(v: int) -> bool:
+            return (v - lo) % 5 == 4
+
+        def link(u: int, v: int) -> None:
+            if u == v or (is_sink(u) and is_sink(v)):
+                return
+            if is_sink(u) or (not is_sink(v) and rng.random() < 0.5):
+                u, v = v, u
+            g.add_arc(u, v)
+
+        for v in range(lo + 1, lo + size):
+            link(lo + rng.randrange(v - lo), v)
+        for _ in range(size):
+            u = lo + rng.randrange(size)
+            if rng.random() < 0.5:
+                v = lo + rng.randrange(min(8, size))
+            else:
+                v = lo + rng.randrange(size)
+            link(u, v)
+        lo += size
+    return g

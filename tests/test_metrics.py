@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from ledgergraph.graph import DirectedGraph
@@ -17,7 +19,7 @@ from ledgergraph.metrics import (
 )
 
 import oracles
-from synth import random_digraph, watts_strogatz
+from synth import multi_component_digraph, random_digraph, watts_strogatz
 
 
 def graph_from(arcs, n=None):
@@ -252,6 +254,46 @@ class TestLoadCentrality:
         g = random_digraph(600, 2000, 5)
         ids = list(range(0, 600, 7))
         assert load_centrality(g, ids, workers=1) == load_centrality(g, ids, workers=8)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_values_on_multi_component_digraph(self, workers):
+        # Exact floats from the per-source kernel. The 394-node main
+        # component spans two 256-source chunks, 135 nodes are sinks, and
+        # the graph has nine weak components; the digest covers every node.
+        g = multi_component_digraph()
+        assert (g.node_count, g.arc_count) == (480, 910)
+        loads = load_centrality(g, list(range(480)), workers=workers)
+        picks = [0, 1, 2, 3, 4, 5, 6, 397, 398, 400, 458, 459, 476, 477, 479]
+        assert [loads[v] for v in picks] == [
+            0.08491181309718074, 0.08328944995433156, 0.046013130352104484,
+            0.10704531587457276, 0.0, 0.09506632125858248, 0.058711870381815065,
+            0.06896551724137931, 0.11616014026884863, 0.13822326125073056,
+            0.017973856209150325, 0.14052287581699346, 0.0, 0.0, 0.0,
+        ]
+        digest = hashlib.sha256(np.array(loads, dtype=np.float64).tobytes()).hexdigest()
+        assert digest == "4cab27ffd02803f152fd712250cb4ace79f1e945dd374db02d23b899bd8279ed"
+
+    def test_matches_networkx_betweenness_at_scale(self):
+        # "Load" here is normalized shortest-path betweenness, so it must
+        # agree with networkx's Brandes at sizes the oracles cannot reach.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        n = 1500
+        g = DirectedGraph.with_node_count(n)
+        for v in range(1, n):  # randomly oriented tree: weakly connected
+            u = rng.randrange(v)
+            g.add_arc(*((u, v) if rng.random() < 0.5 else (v, u)))
+        for _ in range(2 * n):  # extra arcs, 40% of them into 20 hubs
+            u = rng.randrange(n)
+            v = rng.randrange(20) if rng.random() < 0.4 else rng.randrange(n)
+            if u != v:
+                g.add_arc(u, v)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(g.arcs())
+        expected = nx.betweenness_centrality(ref, normalized=True)
+        got = load_centrality(g, list(range(n)))
+        assert max(abs(got[v] - expected[v]) for v in range(n)) <= 1e-12
 
 
 class TestMetricsReport:
