@@ -288,8 +288,9 @@ def _format_metrics(doc: dict, indent: str = "") -> str:
         f"{indent}sample               {doc['sample']['fraction']:.0%} of "
         f"{doc['sample']['component']}, seed {doc['sample']['seed']}, "
         f"{doc['sample']['pairs_used']} pairs",
-        f"{indent}hubs (degree: load centrality)",
     ]
+    if doc["hub_load"]:
+        lines.append(f"{indent}hubs (degree: load centrality)")
     for degree, load in doc["hub_load"]:
         lines.append(f"{indent}  {degree}: {load:.6g}")
     return "\n".join(lines)

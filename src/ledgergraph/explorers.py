@@ -65,10 +65,21 @@ def _as_timestamp(value: object, what: str) -> int:
 
 
 def tx_hash(tx: dict, ledger: str) -> str:
+    """The explorer's identity for one transaction row.
+
+    Etherscan internal rows carry the parent transaction's hash, which one
+    call with several internal transfers repeats, so those rows key on
+    hash plus traceId. A missing field raises PayloadError.
+    """
     key = "txid" if ledger == "dogecoin" else "hash"
     value = tx.get(key)
     if not isinstance(value, str) or not value:
         raise PayloadError(f"transaction is missing its {key!r} field")
+    if ledger == "ethereum_internal":
+        trace = tx.get("traceId")
+        if trace is None or trace == "":
+            raise PayloadError("internal transaction is missing its 'traceId' field")
+        return f"{value}/{trace}"
     return value
 
 

@@ -186,8 +186,9 @@ class PageRequest:
 
 
 def _dedup_key(tx: dict, ledger: str, record: TransactionRecord):
-    """Cross-page duplicate detection: the native hash when present, else
-    the record's (timestamp, senders, recipients) tuple."""
+    """Cross-page duplicate detection: the native identity when present
+    (see explorers.tx_hash), else the record's (timestamp, senders,
+    recipients) tuple."""
     try:
         return explorers.tx_hash(tx, ledger)
     except explorers.PayloadError:

@@ -7,9 +7,15 @@ kernels are vectorized over a compiled CSR view of the graph:
   lane per node, and each level is one gather + bitwise-or sweep over the
   arc array. Distances are summed as exact integers, so a fraction-1 run
   reproduces the brute-force all-pairs average bit for bit.
-- Load centrality uses per-source accumulation of pair dependencies
-  (forward BFS with path counting, then a reverse sweep), with numpy doing
-  the per-level work.
+- Load centrality is normalized shortest-path betweenness (it matches
+  networkx.betweenness_centrality, not Goh load or
+  networkx.load_centrality). It uses Brandes' per-source accumulation of
+  pair dependencies: a forward BFS with path counting, then a reverse
+  sweep. Sources run in batches of 16 that share each level's numpy
+  calls: source b of a batch owns row b of flat k x n state arrays, and a
+  level touches only the arcs leaving the batch's frontier. Path counts
+  are exact integers in float64 and every dependency sum runs in the
+  same order as a one-source-at-a-time pass, so batching changes no bit.
 
 Worker pools only change which thread runs which fixed chunk of sources;
 chunk boundaries and the reduction order never depend on the worker count,
@@ -36,6 +42,7 @@ from .graph import (
 
 _BITS = 64  # BFS sources per bitset batch
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
+_BRANDES_BATCH = 16  # sources swept together inside a task
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -70,21 +77,6 @@ def _pack(n: int, key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndar
     np.add.at(indptr, key + 1, 1)
     np.cumsum(indptr, out=indptr)
     return indptr, val.astype(np.int32)
-
-
-def _gather(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated neighbor lists of `frontier` plus the matching tails."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int32)
-        return empty, empty
-    cum = np.concatenate(([0], np.cumsum(counts[:-1])))
-    idx = np.repeat(starts, counts) + (np.arange(total, dtype=np.int64) - np.repeat(cum, counts))
-    return indices[idx], np.repeat(frontier, counts)
 
 
 def _run_ordered(tasks: Sequence[_T], fn: Callable[[_T], _R], workers: int) -> list[_R]:
@@ -331,41 +323,61 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
 # load centrality
 
 
-def _brandes_chunk(
-    csr: _Csr, sources: np.ndarray
-) -> np.ndarray:
-    """Pair-dependency totals contributed by `sources` (unnormalized)."""
+def _brandes_chunk(csr: _Csr, tails: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Pair-dependency totals contributed by `sources` (unnormalized).
+
+    Sweeps _BRANDES_BATCH sources at a time; node v of batch source b is
+    entry b*n + v of the flat state arrays. `tails` is the tail node of
+    every forward CSR arc.
+    """
     n = csr.n
     indptr, indices = csr.fwd_indptr, csr.fwd_indices
+    sources = sources[indptr[sources + 1] > indptr[sources]]  # sinks add nothing
     cb = np.zeros(n, dtype=np.float64)
-    dist = np.full(n, -1, dtype=np.int32)
-    sigma = np.zeros(n, dtype=np.float64)
-    delta = np.zeros(n, dtype=np.float64)
-    for s in sources:
-        dist[s] = 0
-        sigma[s] = 1.0
-        frontier = np.array([s], dtype=np.int32)
+    dist = np.full(_BRANDES_BATCH * n, -1, dtype=np.int32)
+    sigma = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
+    delta = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
+    for lo in range(0, len(sources), _BRANDES_BATCH):
+        batch = sources[lo : lo + _BRANDES_BATCH]
+        roots = np.arange(len(batch), dtype=np.int64) * n + batch
+        dist[roots] = 0
+        sigma[roots] = 1.0
+        frontier = roots
         tree_levels: list[tuple[np.ndarray, np.ndarray]] = []
-        touched = [frontier]
+        touched = [roots]
         level = 0
-        while frontier.size:
-            heads, tails = _gather(indptr, indices, frontier)
-            if heads.size == 0:
+        while True:
+            v = frontier % n
+            starts = indptr[v]
+            counts = indptr[v + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
                 break
-            nxt = np.unique(heads[dist[heads] < 0])
+            first = np.cumsum(counts) - counts  # slot of each node's first arc
+            arc = np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
+            row = np.repeat(frontier - v, counts)
+            heads = indices[arc] + row
+            on_tree = dist[heads] < 0  # first reached at this level
+            h = heads[on_tree]
+            if h.size == 0:
+                break
+            t = tails[arc[on_tree]] + row[on_tree]
+            nxt = np.sort(h)
+            nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
             level += 1
             dist[nxt] = level
-            on_tree = dist[heads] == level
-            h, t = heads[on_tree], tails[on_tree]
             np.add.at(sigma, h, sigma[t])
             tree_levels.append((h, t))
             touched.append(nxt)
             frontier = nxt
         for h, t in reversed(tree_levels):
             np.add.at(delta, t, sigma[t] / sigma[h] * (1.0 + delta[h]))
-        delta[s] = 0.0
+        delta[roots] = 0.0
+        # one row at a time, in source order, so every float sum runs in
+        # the order of a one-source pass (entries a source misses are 0)
+        for b in range(len(batch)):
+            cb += delta[b * n : (b + 1) * n]
         reached = np.concatenate(touched)
-        cb[reached] += delta[reached]
         dist[reached] = -1
         sigma[reached] = 0.0
         delta[reached] = 0.0
@@ -375,8 +387,9 @@ def _brandes_chunk(
 def _betweenness(csr: _Csr, workers: int) -> np.ndarray:
     """Unnormalized directed betweenness of every node (Brandes)."""
     sources = np.arange(csr.n, dtype=np.int32)
+    tails = np.repeat(sources, np.diff(csr.fwd_indptr))
     chunks = [sources[i : i + _BRANDES_CHUNK] for i in range(0, csr.n, _BRANDES_CHUNK)]
-    partials = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers)
+    partials = _run_ordered(chunks, lambda c: _brandes_chunk(csr, tails, c), workers)
     cb = np.zeros(csr.n, dtype=np.float64)
     for part in partials:
         cb += part

@@ -203,7 +203,10 @@ def small_world_compare(
     edge_reuse_ratio: Optional[float] = None,
 ) -> SmallWorldReport:
     """Measure `real`, draw its size-matched random twin, measure that with
-    the same sampling plan, and combine the ratios into sigma."""
+    the same sampling plan, and combine the ratios into sigma.
+
+    Sigma reads only the twin's clustering and ASPL, so the twin gets no
+    hub load: its report's `hub_load` is empty."""
     if real.node_count == 0:
         raise ValueError("cannot compare an empty graph")
     timings: dict[str, float] = {}
@@ -225,9 +228,7 @@ def small_world_compare(
     random_metrics: Optional[MetricsReport] = None
     t0 = time.perf_counter()
     try:
-        random_metrics = build_metrics_report(
-            random_graph, plan, hub_count=hub_count, workers=workers
-        )
+        random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
     except ValueError as exc:
         undefined["aspl_ratio"] = f"random graph is degenerate: {exc}"
         undefined["acc_ratio"] = f"random graph is degenerate: {exc}"

@@ -254,6 +254,29 @@ def test_report_on_metrics_json(tmp_path, capsys):
     assert "graph ACC" in capsys.readouterr().out
 
 
+def test_report_omits_hub_header_without_hub_load(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    net = tmp_path / "g.net"
+    main(["build", "--in", str(dump), "--out", str(net)])
+    cmp_path = tmp_path / "cmp.json"
+    assert main(["compare", "--in", str(net), "--out", str(cmp_path), "--sample", "1.0"]) == 0
+    doc = json.loads(cmp_path.read_text())
+    assert doc["real"]["hub_load"] and doc["random"]["hub_load"] == []
+    capsys.readouterr()
+    assert main(["report", "--in", str(cmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("hubs (degree: load centrality)") == 1
+    assert out.index("hubs (degree") < out.index("random graph:")
+
+    rpt = tmp_path / "r.json"
+    main(["analyze", "--in", str(net), "--out", str(rpt), "--sample", "1.0", "--hubs", "0"])
+    capsys.readouterr()
+    assert main(["report", "--in", str(rpt)]) == 0
+    out = capsys.readouterr().out
+    assert "graph ACC" in out and "hubs (" not in out
+
+
 def test_report_rejects_other_json(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"hello": 1}')

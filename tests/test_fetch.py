@@ -238,6 +238,24 @@ class TestBlockFetch:
         assert result.records == []
         assert result.skipped_payloads == 1
 
+    def test_internal_transfers_of_one_call_stay_distinct(self):
+        # Etherscan internal rows repeat the parent transaction's hash;
+        # traceId tells the transfers of one call apart
+        def internal(trace, to, **extra):
+            row = {"hash": "0xparent", "from": "0xcontract", "to": to,
+                   "timeStamp": T0 + 5, "type": "call", **extra}
+            if trace is not None:
+                row["traceId"] = trace
+            return row
+        txs = [internal("0", "0xa"), internal("1", "0xb"), internal("1", "0xb"),
+               internal(None, "0xc"), internal(None, "0xc"), internal(None, "0xd")]
+        with FixtureServer(block_responder([(T0, txs)])) as server:
+            job = FetchJob(ledger="ethereum_internal", start=T0, end=T0 + DAY,
+                           source=server.url)
+            result = fetch_transactions(job)
+        # the repeated traceId row collapses; rows without traceId dedup by content
+        assert sorted(r.recipients[0] for r in result.records) == ["0xa", "0xb", "0xc", "0xd"]
+
 
 class TestLocalSource:
     def test_local_dump_filtering(self, tmp_path):

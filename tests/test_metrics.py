@@ -258,8 +258,10 @@ class TestLoadCentrality:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pinned_values_on_multi_component_digraph(self, workers):
         # Exact floats from the per-source kernel. The 394-node main
-        # component spans two 256-source chunks, 135 nodes are sinks, and
-        # the graph has nine weak components; the digest covers every node.
+        # component spans two 256-source chunks (95 non-sink sources in the
+        # second, so its last 16-source batch is partial), 135 nodes are
+        # sinks, and the graph has nine weak components; the digest covers
+        # every node.
         g = multi_component_digraph()
         assert (g.node_count, g.arc_count) == (480, 910)
         loads = load_centrality(g, list(range(480)), workers=workers)
@@ -278,7 +280,7 @@ class TestLoadCentrality:
         # agree with networkx's Brandes at sizes the oracles cannot reach.
         nx = pytest.importorskip("networkx")
         rng = random.Random(11)
-        n = 1500
+        n = 1000
         g = DirectedGraph.with_node_count(n)
         for v in range(1, n):  # randomly oriented tree: weakly connected
             u = rng.randrange(v)

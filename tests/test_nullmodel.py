@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ledgergraph.graph import DirectedGraph
-from ledgergraph.metrics import SamplePlan
+from ledgergraph.metrics import SamplePlan, build_metrics_report
 from ledgergraph.nullmodel import (
     RandomGraphSpec,
     erdos_renyi,
@@ -135,6 +135,20 @@ class TestCompare:
         twin_arcs = sum(d * c for d, c in twin_hist.in_degree.items())
         assert twin_arcs == g.arc_count
         assert report.seeds == {"random_graph": 5, "sample": 0}
+
+    def test_twin_gets_no_hub_load(self):
+        g = watts_strogatz(300, 6, 0.1, seed=2)
+        plan = SamplePlan(fraction=1.0)
+        report = small_world_compare(g, plan, seed=5)
+        assert len(report.real_metrics.hub_load) == 10
+        twin_doc = report.random_metrics.to_json_dict()
+        assert twin_doc["hub_load"] == []
+        # everything else matches a full measurement of the same twin
+        spec = RandomGraphSpec(node_count=g.node_count, edge_count=g.arc_count, seed=5)
+        full_doc = build_metrics_report(erdos_renyi(spec), plan).to_json_dict()
+        assert len(full_doc.pop("hub_load")) == 10
+        twin_doc.pop("hub_load")
+        assert json.dumps(twin_doc, sort_keys=True) == json.dumps(full_doc, sort_keys=True)
 
     def test_small_world_graph_scores_high(self):
         g = watts_strogatz(1000, 10, 0.1, seed=3)
