@@ -1,0 +1,132 @@
+"""Byte-level pins of `analyze` and `compare` outputs and of the G(n, m) draw.
+
+The digests were written against the set-based analysis path and must
+survive any change to how the graph is stored or the metrics are
+computed: every sum in the reports runs in a fixed order, so a faster
+kernel that computes the same numbers writes the same bytes.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from ledgergraph.cli import main
+from ledgergraph.graph import DirectedGraph
+from ledgergraph.nullmodel import RandomGraphSpec, erdos_renyi
+from ledgergraph.pajek import dumps as pajek_dumps
+
+from synth import multi_component_digraph, watts_strogatz
+
+
+def hub_heavy_digraph(n=900, seed=5) -> DirectedGraph:
+    """Weakly connected random-tree digraph plus 2n arcs, 40% into 12 hubs."""
+    rng = random.Random(seed)
+    g = DirectedGraph.with_node_count(n)
+    for v in range(1, n):
+        u = rng.randrange(v)
+        g.add_arc(*((u, v) if rng.random() < 0.5 else (v, u)))
+    for _ in range(2 * n):
+        u = rng.randrange(n)
+        v = rng.randrange(12) if rng.random() < 0.4 else rng.randrange(n)
+        if u != v:
+            g.add_arc(u, v)
+    return g
+
+
+GRAPHS = {
+    "multi": multi_component_digraph,
+    "hubs": hub_heavy_digraph,
+    "ws": lambda: watts_strogatz(400, 6, 0.1, seed=2),
+}
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_graph(tmp_path, name):
+    net = tmp_path / f"{name}.net"
+    net.write_text(pajek_dumps(GRAPHS[name]()))
+    return net
+
+
+# degree histograms (in, out, total) depend only on the graph
+MULTI_IN = "5361bbd3d8532bbecf136db2782a7bd93d7eec910ab472280ef951c3cf2a5a6a"
+MULTI_OUT = "c48ef66f8f9703c0a3f1cea45a5d5e97dfe6b461620fe3da4af898fe515f0bac"
+MULTI_TOTAL = "1c1c70224318e1da5a70e4ea215c88dae7f9a1e9ee7392337533c3a6ab9702c2"
+HUBS_IN = "01917a1f22ce4048dbb076b510ef954f77fee402692f4eb45cc1ec8b78d0c1c6"
+HUBS_OUT = "b6b2e70a1d9f9cefcce13aaf2bb7454512425a42a3abbc48c899a4ce7209cc58"
+HUBS_TOTAL = "d4ac6846d86b52a7bbefdc26b7145e52b869c7cea57d48e7706472ff4a1ac4db"
+WS_DEG = "3df46f7d92dc63b5615016605bcd69bfde061b8bf571e5315efbb2cb34ee273a"
+
+ANALYZE_CASES = [
+    ("multi", ["--sample", "1.0"], [
+        "3d18fb22ba4fa404187c3e225a67df759eb252bc6154173b87d006371704a25b", MULTI_IN, MULTI_OUT,
+        MULTI_TOTAL]),
+    ("multi", ["--sample", "1.0", "--component", "strong"], [
+        "04f359aca84d783b30239fbb230c07dd6c23a8acd496e0f5273650a8f33ec0ae", MULTI_IN, MULTI_OUT,
+        MULTI_TOTAL]),
+    ("multi", ["--sample", "1.0", "--undirected", "--hubs", "10"], [
+        "d364e397adadb91250ca009465008cd0b5142ca48c7e1992e6c0ae6efe10b8b4", MULTI_IN, MULTI_OUT,
+        MULTI_TOTAL]),
+    ("hubs", ["--sample", "0.3", "--seed", "4", "--hubs", "10"], [
+        "a7d84c3fbcf240d0b8f6d724830869932ff3e386323ad2eebeb7f94b019cb2f0", HUBS_IN, HUBS_OUT,
+        HUBS_TOTAL]),
+    ("hubs", ["--sample", "1.0", "--component", "strong", "--undirected", "--hubs", "3"], [
+        "250614615e9a63d14516ab043083502a2a8873f780a4c66d1f7a87ae337e7b22", HUBS_IN, HUBS_OUT,
+        HUBS_TOTAL]),
+    ("ws", ["--sample", "0.5", "--seed", "1", "--hubs", "0"], [
+        "94ae25f3503b2597785cf5b80a83f70639526aa3013927c9d4d927a377bc38aa", WS_DEG, WS_DEG,
+        WS_DEG]),
+]
+
+
+@pytest.mark.parametrize("name,flags,expected", ANALYZE_CASES)
+def test_analyze_outputs_pinned(tmp_path, name, flags, expected):
+    net = _write_graph(tmp_path, name)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--in", str(net), "--out", str(out), *flags]) == 0
+    got = [_sha(out)] + [_sha(tmp_path / f"r.degree_{kind}.txt")
+                         for kind in ("in", "out", "total")]
+    assert got == expected
+
+
+COMPARE_CASES = [
+    ("multi", ["--sample", "1.0", "--seed", "3"],
+     "36e4cdc6c08d4114d38f45364d375970944c012ac51e8a76699d04fd5717c71f"),
+    ("multi", ["--sample", "1.0", "--component", "strong", "--seed", "2"],
+     "bf10512ffd6df3f8a179dfa23c01ebf0ddcb404ded3f4d62623ce67d6655dfd9"),
+    ("hubs", ["--sample", "0.5", "--seed", "9", "--undirected"],
+     "9f6ac82d5aed51c6a9d3f19664429cc3a8d237246fb317e46280274665972c06"),
+    ("ws", ["--sample", "1.0", "--seed", "5", "--hubs", "10"],
+     "68f7f536b901d3cd77459f40195ca63e4fb566e1b57e6c0461bfc86cf5b0ddfb"),
+]
+
+
+@pytest.mark.parametrize("name,flags,expected", COMPARE_CASES)
+def test_compare_output_pinned(tmp_path, name, flags, expected):
+    net = _write_graph(tmp_path, name)
+    out = tmp_path / "c.json"
+    assert main(["compare", "--in", str(net), "--out", str(out), *flags]) == 0
+    assert _sha(out) == expected
+
+
+GNM_CASES = [
+    # (n, m, directed, seed): saturated, collision-heavy and sparse draws
+    ((3, 6, True, 1), "ef68772eec6b455c231e88fa7e3c9b439ce54d0ae386546c01770379f815633f"),
+    ((40, 1500, True, 2), "360901a5e9d37b2c5cb2f4121e867d24ee23f3206527d2f5f1017180d1739574"),
+    ((500, 2000, True, 3), "e8e19668b5d9d3945fb715dc037f789410b35f628bd825dac9a7977afbaa2b35"),
+    ((3, 3, False, 1), "ef68772eec6b455c231e88fa7e3c9b439ce54d0ae386546c01770379f815633f"),
+    ((40, 700, False, 4), "a5d99d36277fe664e4d438502ccda2e03583f7fded05849ab9342bc0f172117f"),
+    ((300, 900, False, 5), "bb3abeebc72b6a8b6eb2cb9dcf6205c3e2e53fe831710385287fee935324d78b"),
+]
+
+
+@pytest.mark.parametrize("case,expected", GNM_CASES)
+def test_gnm_arcs_pinned(case, expected):
+    n, m, directed, seed = case
+    spec = RandomGraphSpec(node_count=n, edge_count=m, directed=directed, seed=seed)
+    arcs = sorted(erdos_renyi(spec).arcs())
+    assert len(arcs) == m * (1 if directed else 2)
+    assert hashlib.sha256(repr(arcs).encode()).hexdigest() == expected
