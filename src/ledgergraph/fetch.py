@@ -20,8 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-import requests
-
 from . import explorers
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
@@ -98,6 +96,7 @@ class RetryingClient:
 
     Sleeps are routed through the injected `sleep` so tests can observe the
     schedule instead of waiting it out; `pauses` records every pause taken.
+    `requests` loads on first use, so commands that never fetch skip it.
     """
 
     def __init__(
@@ -107,6 +106,7 @@ class RetryingClient:
         api_key: Optional[str] = None,
         timeout: float = 30.0,
     ):
+        import requests
         self.policy = policy
         self.sleep = sleep
         self.api_key = api_key
@@ -115,6 +115,7 @@ class RetryingClient:
         self.pauses: list[float] = []
 
     def get_json(self, url: str, params: Optional[dict] = None) -> dict:
+        import requests
         params = dict(params or {})
         if self.api_key:
             params["apikey"] = self.api_key
@@ -266,14 +267,16 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
             seen.add(key)
             if job.start <= record.timestamp < job.end:
                 result.records.append(record)
+    window = f"{job.ledger} [{job.start}, {job.end})"
     for offset in sorted(errors):
-        result.failed_ranges.append(
-            f"{job.ledger} [{job.start}, {job.end}) page offset {offset}: {errors[offset]}"
-        )
+        if last_short is None or offset < last_short:  # else past the end of the data
+            result.failed_ranges.append(f"{window} page offset {offset}: {errors[offset]}")
     if result.failed_ranges:
-        raise FetchError(
-            f"{len(result.failed_ranges)} page(s) failed", result.failed_ranges, partial=result
-        )
+        message = f"{len(result.failed_ranges)} page(s) failed"
+        if last_short is None:  # the window's end was never seen
+            rest = max([*results, *errors]) + job.page_size
+            result.failed_ranges.append(f"{window} page offsets from {rest} on: not requested")
+        raise FetchError(message, result.failed_ranges, partial=result)
     return result
 
 

@@ -7,13 +7,24 @@ derivable, and self-loop submissions are counted but never stored.
 
 Construction is single-writer; after that every function here treats the
 graph as read-only, so a built graph can be shared across threads.
+
+Analysis never reads the sets. It compiles the graph once into a `Csr`
+(forward and reverse CSR arrays sorted by (tail, head)) and runs on that:
+weak components by array hook-and-shortcut, strong ones by an iterative
+Tarjan over the CSR lists, and a component's sub-CSR by a mask renumbered
+with `cumsum`, so its ids follow ascending original id exactly as
+`induced_subgraph` numbers them. A Csr computes each component kind once
+and keeps it, so one report finds each main component once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 
 class AddArcResult(Enum):
@@ -174,107 +185,159 @@ class Component:
         return len(self.members)
 
 
-def _finalize(groups: list[set[int]], kind: str) -> list[Component]:
-    # main component: largest, ties broken by lowest contained node id
-    if not groups:
-        return []
-    keyed = sorted(groups, key=lambda g: (-len(g), min(g)))
-    out = [Component(frozenset(g), kind, is_main=(i == 0)) for i, g in enumerate(keyed)]
-    return out
+class Csr:
+    """Immutable compiled adjacency: forward and reverse CSR of n nodes.
 
-
-def weakly_connected_components(graph: DirectedGraph) -> list[Component]:
-    """Partition of the nodes into weakly connected components.
-
-    Components are returned largest first; the first one is the main
-    component.
+    Both directions are sorted by (tail, head), so a graph always compiles
+    to the same arrays whatever order its arcs were submitted in. Component
+    labels and component sub-CSRs are computed on first use and kept, so
+    every metric run on one Csr shares them.
     """
+
+    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
+        """`src`/`dst`: distinct, loop-free arcs in any order."""
+        self.n, self.m = n, len(src)
+        fwd, rev = np.lexsort((dst, src)), np.lexsort((src, dst))
+        self.tails = src[fwd].astype(np.int64)
+        self.fwd_indptr = np.searchsorted(self.tails, np.arange(n + 1))
+        self.fwd_indices = dst[fwd].astype(np.int32)
+        self.rev_indptr = np.searchsorted(dst[rev], np.arange(n + 1))
+        self.rev_indices = src[rev].astype(np.int32)
+        self._labels: dict[str, np.ndarray] = {}
+        self._parts: dict[tuple[str, int], tuple[Csr, np.ndarray]] = {}
+
+    def symmetric(self) -> "Csr":
+        """Symmetric closure: every arc (a, b) also as (b, a)."""
+        n, heads = self.n, self.fwd_indices.astype(np.int64)
+        keys = np.union1d(self.tails * n + heads, heads * n + self.tails)
+        return Csr(n, keys // n, keys % n)
+
+    def labels(self, kind: str) -> np.ndarray:
+        """Component of every node, named by its lowest node id."""
+        if kind not in ("weak", "strong"):
+            raise ValueError(f"component kind must be 'weak' or 'strong', got {kind!r}")
+        if kind not in self._labels:
+            self._labels[kind] = (_weak_labels if kind == "weak" else _strong_labels)(self)
+        return self._labels[kind]
+
+    def main_label(self, kind: str) -> int:
+        """Label of the largest component, ties broken by lowest node id."""
+        if self.n == 0:
+            raise ValueError("graph has no nodes, so no main component")
+        return int(np.argmax(np.bincount(self.labels(kind), minlength=self.n)))
+
+    def component(self, kind: str, label: Optional[int] = None) -> tuple["Csr", np.ndarray]:
+        """Sub-CSR of one component (default: the main one) and the original
+        id of each of its nodes. New ids follow ascending original id."""
+        label = self.main_label(kind) if label is None else label
+        key = (kind, label)
+        if key not in self._parts:
+            mask = self.labels(kind) == label
+            new_id = np.cumsum(mask) - 1
+            keep = mask[self.tails] & mask[self.fwd_indices]
+            sub = Csr(int(mask.sum()), new_id[self.tails[keep]], new_id[self.fwd_indices[keep]])
+            self._parts[key] = (sub, np.flatnonzero(mask))
+        return self._parts[key]
+
+
+def compiled(graph: Union[DirectedGraph, Csr]) -> Csr:
+    """The Csr of `graph` (a Csr passes through unchanged)."""
+    if isinstance(graph, Csr):
+        return graph
     n = graph.node_count
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    for src, dst in graph.arcs():
-        ra, rb = find(src), find(dst)
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return _finalize(list(groups.values()), "weak")
+    counts = np.fromiter(map(len, graph._succ), dtype=np.int64, count=n)
+    dst = np.fromiter(chain.from_iterable(graph._succ), dtype=np.int64, count=graph.arc_count)
+    return Csr(n, np.repeat(np.arange(n, dtype=np.int64), counts), dst)
 
 
-def strongly_connected_components(graph: DirectedGraph) -> list[Component]:
+def _weak_labels(csr: Csr) -> np.ndarray:
+    """Hook-and-shortcut union-find over the arc arrays.
+
+    Every node points at a smaller or equal id, so each tree's root is its
+    lowest id. A round hooks every root that touches a smaller root onto
+    the smallest one, then shortcuts every node straight to its root.
+    """
+    parent = np.arange(csr.n, dtype=np.int64)
+    while True:
+        a, b = parent[csr.tails], parent[csr.fwd_indices]
+        differ = a != b
+        if not differ.any():
+            return parent
+        a, b = a[differ], b[differ]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
+def _strong_labels(csr: Csr) -> np.ndarray:
     """Tarjan's algorithm, iterative to cope with deep ledgers' chains."""
-    n = graph.node_count
-    UNSEEN = -1
-    index = [UNSEEN] * n
+    n, ptr, heads = csr.n, csr.fwd_indptr.tolist(), csr.fwd_indices.tolist()
+    cursor = ptr[:-1]  # next unexplored arc of each node
+    index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
+    label = [-1] * n  # -1 until the node's component is complete
     stack: list[int] = []
-    groups: list[set[int]] = []
     counter = 0
-
     for root in range(n):
-        if index[root] != UNSEEN:
-            continue
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(graph.successors(root)))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        work = [root] if index[root] < 0 else []
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == UNSEEN:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(graph.successors(w))))
-                    advanced = True
+            v = work[-1]
+            if index[v] < 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+            i, end = cursor[v], ptr[v + 1]
+            while i < end:
+                w = heads[i]
+                i += 1
+                if index[w] < 0:
+                    work.append(w)
                     break
-                if on_stack[w]:
-                    if index[w] < lowlink[v]:
-                        lowlink[v] = index[w]
-            if advanced:
+                if label[w] < 0 and index[w] < lowlink[v]:  # w is on the stack
+                    lowlink[v] = index[w]
+            cursor[v] = i
+            if work[-1] != v:
                 continue
             work.pop()
-            if work:
-                pv = work[-1][0]
-                if lowlink[v] < lowlink[pv]:
-                    lowlink[pv] = lowlink[v]
+            if work and lowlink[v] < lowlink[work[-1]]:
+                lowlink[work[-1]] = lowlink[v]
             if lowlink[v] == index[v]:
-                comp: set[int] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                groups.append(comp)
-    return _finalize(groups, "strong")
+                members = [stack.pop()]
+                while members[-1] != v:
+                    members.append(stack.pop())
+                low = min(members)
+                for w in members:
+                    label[w] = low
+    return np.array(label, dtype=np.int64)
 
 
-def main_component(graph: DirectedGraph, kind: str) -> Component:
+def _components(graph: Union[DirectedGraph, Csr], kind: str) -> list[Component]:
+    labels = compiled(graph).labels(kind)
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
+    groups.sort(key=len, reverse=True)  # stable: equal sizes stay in lowest-id order
+    return [Component(frozenset(g.tolist()), kind, is_main=(i == 0)) for i, g in enumerate(groups)]
+
+
+def weakly_connected_components(graph: Union[DirectedGraph, Csr]) -> list[Component]:
+    """Weakly connected components, largest first (ties: lowest node id);
+    the first one is the main component."""
+    return _components(graph, "weak")
+
+
+def strongly_connected_components(graph: Union[DirectedGraph, Csr]) -> list[Component]:
+    """Strongly connected components, ordered like the weak ones."""
+    return _components(graph, "strong")
+
+
+def main_component(graph: Union[DirectedGraph, Csr], kind: str) -> Component:
     """The largest component of the requested kind ("weak" or "strong")."""
-    if kind == "weak":
-        comps = weakly_connected_components(graph)
-    elif kind == "strong":
-        comps = strongly_connected_components(graph)
-    else:
-        raise ValueError(f"component kind must be 'weak' or 'strong', got {kind!r}")
-    if not comps:
-        raise ValueError("graph has no nodes, so no main component")
-    return comps[0]
+    csr = compiled(graph)
+    members = np.flatnonzero(csr.labels(kind) == csr.main_label(kind))
+    return Component(frozenset(members.tolist()), kind, is_main=True)
 
 
 def undirected_projection(graph: DirectedGraph) -> DirectedGraph:
@@ -305,11 +368,8 @@ def induced_subgraph(
     remap = {old: new for new, old in enumerate(original_ids)}
     sub = DirectedGraph.with_node_count(len(original_ids))
     if graph.has_labels():
-        for new, old in enumerate(original_ids):
-            addr = graph.address_of(old)
-            assert addr is not None
-            sub._id_to_addr[new] = addr
-            sub._addr_to_id[addr] = new
+        sub._id_to_addr = [graph.address_of(old) for old in original_ids]
+        sub._addr_to_id = {addr: new for new, addr in enumerate(sub._id_to_addr)}
     for old in original_ids:
         new_src = remap[old]
         for dst in graph.successors(old):

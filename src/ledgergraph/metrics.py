@@ -1,8 +1,15 @@
 """Graph analysis suite: degrees, clustering, shortest paths, load.
 
-The shortest-path metrics are the expensive part at ledger scale, so both
-kernels are vectorized over a compiled CSR view of the graph:
+Every metric reads one compiled `graph.Csr`. `build_metrics_report`
+compiles the graph once, so its metrics share the arrays, the component
+labels and the main component's sub-CSR; a public function handed a
+DirectedGraph compiles it itself.
 
+- Degrees come from the row pointers, mutual pairs from a binary search
+  over the sorted arc keys.
+- Clustering lists every triangle once on the undirected projection,
+  each edge oriented by degree (Latapy 2008), and averages the per-node
+  values left to right, as a per-node loop adds them.
 - ASPL uses a bitset multi-source BFS: 64 BFS sources ride in one uint64
   lane per node, and each level is one gather + bitwise-or sweep over the
   arc array. Distances are summed as exact integers, so a fraction-1 run
@@ -27,56 +34,21 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .graph import (
-    Component,
-    DirectedGraph,
-    induced_subgraph,
-    main_component,
-    undirected_projection,
-    weakly_connected_components,
-)
+from .graph import Csr, DirectedGraph, compiled
+
+Graph = Union[DirectedGraph, Csr]
 
 _BITS = 64  # BFS sources per bitset batch
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
 _BRANDES_BATCH = 16  # sources swept together inside a task
+_WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-# ---------------------------------------------------------------------------
-# compiled adjacency
-
-
-class _Csr:
-    """Forward and reverse CSR adjacency of a DirectedGraph."""
-
-    def __init__(self, graph: DirectedGraph):
-        n = graph.node_count
-        m = graph.arc_count
-        src = np.empty(m, dtype=np.int64)
-        dst = np.empty(m, dtype=np.int64)
-        for i, (a, b) in enumerate(graph.arcs()):
-            src[i] = a
-            dst[i] = b
-        self.n = n
-        self.m = m
-        self.fwd_indptr, self.fwd_indices = _pack(n, src, dst)
-        self.rev_indptr, self.rev_indices = _pack(n, dst, src)
-
-
-def _pack(n: int, key: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort((val, key))
-    key = key[order]
-    val = val[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, key + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return indptr, val.astype(np.int32)
 
 
 def _run_ordered(tasks: Sequence[_T], fn: Callable[[_T], _R], workers: int) -> list[_R]:
@@ -107,28 +79,21 @@ class DegreeHistogram:
     max_hubs: list[tuple[int, int]]
 
 
-def degree_distribution(graph: DirectedGraph, hub_count: int = 10) -> DegreeHistogram:
-    n = graph.node_count
-    in_deg = np.fromiter((len(graph.predecessors(v)) for v in range(n)), dtype=np.int64, count=n)
-    out_deg = np.fromiter((len(graph.successors(v)) for v in range(n)), dtype=np.int64, count=n)
-    mutual = np.fromiter(
-        (len(graph.successors(v) & graph.predecessors(v)) for v in range(n)),
-        dtype=np.int64,
-        count=n,
-    )
-    total_deg = in_deg + out_deg - mutual
+def degree_distribution(graph: Graph, hub_count: int = 10) -> DegreeHistogram:
+    csr = compiled(graph)
+    in_deg, out_deg = np.diff(csr.rev_indptr), np.diff(csr.fwd_indptr)
+    # mutual pairs: arcs whose reverse is among the sorted (tail, head) keys
+    heads = csr.fwd_indices.astype(np.int64)
+    keys = csr.tails * csr.n + heads
+    back = heads * csr.n + csr.tails
+    mutual = keys[np.minimum(np.searchsorted(keys, back), csr.m - 1)] == back
+    total_deg = in_deg + out_deg - np.bincount(csr.tails[mutual], minlength=csr.n)
 
     def table(deg: np.ndarray) -> dict[int, int]:
-        if n == 0:
-            return {}
-        counts = np.bincount(deg)
-        return {int(d): int(c) for d, c in enumerate(counts) if c}
+        return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}
 
-    if n == 0:
-        hubs: list[tuple[int, int]] = []
-    else:
-        order = np.lexsort((np.arange(n), -total_deg))[:hub_count]
-        hubs = [(int(v), int(total_deg[v])) for v in order]
+    order = np.lexsort((np.arange(csr.n), -total_deg))[:hub_count]
+    hubs = [(int(v), int(total_deg[v])) for v in order]
     return DegreeHistogram(table(in_deg), table(out_deg), table(total_deg), hubs)
 
 
@@ -141,33 +106,67 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
-def _neighbor_sets(graph: DirectedGraph) -> list[set[int]]:
-    return [graph.successors(v) | graph.predecessors(v) for v in range(graph.node_count)]
+def _local_clustering(csr: Csr, directed: bool = False) -> np.ndarray:
+    """Clustering coefficient of every node, by degree-ordered triangle
+    listing (Latapy 2008) on the undirected simple projection: each edge
+    points from its lower (degree, id) end to the higher one, so a triangle
+    is listed once, from two out-edges of its lowest corner, and no node has
+    over sqrt(2m) out-edges. A triangle credits each corner with the weight
+    of the opposite edge: 2 (a link counted from both ends) or, `directed`,
+    its arcs (1 or 2). Wedges are checked _WEDGE_CHUNK at a time.
+    """
+    n = csr.n
+    heads = csr.fwd_indices.astype(np.int64)
+    edges, arcs = np.unique(
+        np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads), return_counts=True
+    )
+    weight = arcs if directed else np.full(len(edges), 2)
+    a, b = edges // n, edges % n  # a < b
+    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    flip = deg[a] > deg[b]
+    low, high = np.where(flip, b, a), np.where(flip, a, b)
+    eid = np.argsort(low, kind="stable")  # edge at each out-list slot
+    low, high = low[eid], high[eid]
+    later = np.cumsum(np.bincount(low, minlength=n))[low] - np.arange(len(eid)) - 1
+    ends = np.cumsum(later)  # slot e pairs with its later slots as wedges [ends - later, ends)
+    linked = np.zeros(n, dtype=np.float64)  # exact integers
+    for start in range(0, int(later.sum()), _WEDGE_CHUNK):
+        w = np.arange(start, min(start + _WEDGE_CHUNK, int(ends[-1])))
+        e1 = np.searchsorted(ends, w, side="right")
+        e2 = e1 + 1 + w - ends[e1] + later[e1]
+        x, y = high[e1], high[e2]
+        key = np.minimum(x, y) * n + np.maximum(x, y)
+        pos = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
+        tri = edges[pos] == key
+        e1, e2, pos = e1[tri], e2[tri], pos[tri]
+        linked += np.bincount(
+            np.concatenate((low[e1], high[e1], high[e2])),
+            weights=np.concatenate((weight[pos], weight[eid[e2]], weight[eid[e1]])),
+            minlength=n,
+        )
+    out = np.zeros(n, dtype=np.float64)
+    ok = deg >= 2
+    out[ok] = linked[ok] / (deg[ok] * (deg[ok] - 1))
+    return out
 
 
-def clustering_coefficient(graph: DirectedGraph, node: int, directed: bool = False) -> float:
+def _ordered_mean(values: np.ndarray) -> float:
+    """Mean whose sum runs left to right, as a plain loop adds."""
+    return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
+
+
+def clustering_coefficient(graph: Graph, node: int, directed: bool = False) -> float:
     """Fraction of this node's neighbor pairs that are themselves linked.
 
     Neighbors are the distinct in- and out-neighbors. By default linkage is
     checked without orientation; `directed=True` counts ordered arcs among
     the neighbors against k*(k-1) instead.
     """
-    nbrs = graph.successors(node) | graph.predecessors(node)
-    nbrs.discard(node)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    if directed:
-        arcs = sum(len(graph.successors(u) & nbrs) for u in nbrs)
-        return arcs / (k * (k - 1))
-    links2 = 0  # each linked pair counted twice
-    for u in nbrs:
-        links2 += len((graph.successors(u) | graph.predecessors(u)) & nbrs)
-    return links2 / (k * (k - 1))
+    return float(_local_clustering(compiled(graph), directed)[node])
 
 
 def average_clustering(
-    graph: DirectedGraph,
+    graph: Graph,
     nodes: Optional[Iterable[int]] = None,
     directed: bool = False,
 ) -> float:
@@ -176,24 +175,10 @@ def average_clustering(
     Nodes with fewer than two neighbors contribute 0 and stay in the
     average.
     """
-    node_list = list(nodes) if nodes is not None else list(range(graph.node_count))
-    if not node_list:
-        return 0.0
-    nbr = _neighbor_sets(graph)
-    total = 0.0
-    for v in node_list:
-        s = nbr[v]
-        s.discard(v)
-        k = len(s)
-        if k < 2:
-            continue
-        if directed:
-            linked = sum(len(graph.successors(u) & s) for u in s)
-            total += linked / (k * (k - 1))
-        else:
-            linked2 = sum(len(nbr[u] & s) for u in s)
-            total += linked2 / (k * (k - 1))
-    return total / len(node_list)
+    local = _local_clustering(compiled(graph), directed)
+    if nodes is not None:
+        local = local[np.fromiter(nodes, dtype=np.int64)]
+    return _ordered_mean(local)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +208,6 @@ class SamplePlan:
             )
 
 
-def _select_main(graph: DirectedGraph, plan: SamplePlan) -> tuple[DirectedGraph, list[int]]:
-    kind = "weak" if plan.component == "weak_main" else "strong"
-    comp = main_component(graph, kind)
-    sub, original = induced_subgraph(graph, comp.members)
-    if plan.treat_as_undirected:
-        sub = undirected_projection(sub)
-    return sub, original
-
-
 def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     size = math.ceil(fraction * n)
     if size >= n:
@@ -241,16 +217,10 @@ def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def _batch_pair_sums(
-    rev_indptr: np.ndarray,
-    rev_indices: np.ndarray,
-    n: int,
-    batch: np.ndarray,
-    targets: np.ndarray,
-    nonempty: np.ndarray,
-    seg_starts: np.ndarray,
+    csr: Csr, batch: np.ndarray, targets: np.ndarray, nonempty: np.ndarray, seg_starts: np.ndarray
 ) -> tuple[int, int]:
     """Distance sum and pair count from <=64 sources to the target set."""
-    seen = np.zeros(n, dtype=np.uint64)
+    seen = np.zeros(csr.n, dtype=np.uint64)
     seen[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
     frontier = seen.copy()
     total = 0
@@ -258,9 +228,9 @@ def _batch_pair_sums(
     level = 0
     while True:
         level += 1
-        pulled = np.zeros(n, dtype=np.uint64)
+        pulled = np.zeros(csr.n, dtype=np.uint64)
         if seg_starts.size:
-            pulled[nonempty] = np.bitwise_or.reduceat(frontier[rev_indices], seg_starts)
+            pulled[nonempty] = np.bitwise_or.reduceat(frontier[csr.rev_indices], seg_starts)
         new = pulled & ~seen
         if not new.any():
             break
@@ -272,36 +242,18 @@ def _batch_pair_sums(
     return total, pairs
 
 
-def _pair_distance_stats(
-    csr_rev: tuple[np.ndarray, np.ndarray],
-    n: int,
-    sources: np.ndarray,
-    targets: np.ndarray,
-    workers: int,
-) -> tuple[int, int]:
-    rev_indptr, rev_indices = csr_rev
-    nonempty = np.flatnonzero(rev_indptr[1:] > rev_indptr[:-1])
-    seg_starts = rev_indptr[nonempty]
-    batches = [sources[i : i + _BITS] for i in range(0, len(sources), _BITS)]
-
-    def run(batch: np.ndarray) -> tuple[int, int]:
-        return _batch_pair_sums(rev_indptr, rev_indices, n, batch, targets, nonempty, seg_starts)
-
-    results = _run_ordered(batches, run, workers)
-    total = sum(r[0] for r in results)
-    pairs = sum(r[1] for r in results)
-    return total, pairs
-
-
-def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
+def aspl(graph: Graph, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
     """Average shortest path length over the sampled main component.
 
     Draws ceil(fraction * |main|) distinct nodes (seeded) and averages the
     BFS distance over ordered pairs (s, t) within the sample, skipping
     unreachable pairs. Returns (aspl, ordered pairs averaged).
     """
-    sub, _ = _select_main(graph, plan)
-    n = sub.node_count
+    kind = "weak" if plan.component == "weak_main" else "strong"
+    sub, _ = compiled(graph).component(kind)
+    if plan.treat_as_undirected:
+        sub = sub.symmetric()
+    n = sub.n
     if n < 2:
         raise ValueError(f"main component has {n} node(s); ASPL needs at least 2")
     sample = _sample_nodes(n, plan.fraction, plan.seed)
@@ -310,10 +262,14 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
             f"sample of {len(sample)} node(s) from a {n}-node component "
             "cannot form an ordered pair; raise the fraction"
         )
-    csr = _Csr(sub)
-    total, pairs = _pair_distance_stats(
-        (csr.rev_indptr, csr.rev_indices), n, sample, sample, workers
+    nonempty = np.flatnonzero(np.diff(sub.rev_indptr))
+    seg_starts = sub.rev_indptr[nonempty]
+    batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
+    results = _run_ordered(
+        batches, lambda b: _batch_pair_sums(sub, b, sample, nonempty, seg_starts), workers
     )
+    total = sum(r[0] for r in results)
+    pairs = sum(r[1] for r in results)
     if pairs == 0:
         raise ValueError("no ordered pair in the sample is connected")
     return total / pairs, pairs
@@ -323,15 +279,14 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
 # load centrality
 
 
-def _brandes_chunk(csr: _Csr, tails: np.ndarray, sources: np.ndarray) -> np.ndarray:
+def _brandes_chunk(csr: Csr, sources: np.ndarray) -> np.ndarray:
     """Pair-dependency totals contributed by `sources` (unnormalized).
 
     Sweeps _BRANDES_BATCH sources at a time; node v of batch source b is
-    entry b*n + v of the flat state arrays. `tails` is the tail node of
-    every forward CSR arc.
+    entry b*n + v of the flat state arrays.
     """
     n = csr.n
-    indptr, indices = csr.fwd_indptr, csr.fwd_indices
+    indptr, indices, tails = csr.fwd_indptr, csr.fwd_indices, csr.tails
     sources = sources[indptr[sources + 1] > indptr[sources]]  # sinks add nothing
     cb = np.zeros(n, dtype=np.float64)
     dist = np.full(_BRANDES_BATCH * n, -1, dtype=np.int32)
@@ -384,21 +339,15 @@ def _brandes_chunk(csr: _Csr, tails: np.ndarray, sources: np.ndarray) -> np.ndar
     return cb
 
 
-def _betweenness(csr: _Csr, workers: int) -> np.ndarray:
+def _betweenness(csr: Csr, workers: int) -> np.ndarray:
     """Unnormalized directed betweenness of every node (Brandes)."""
     sources = np.arange(csr.n, dtype=np.int32)
-    tails = np.repeat(sources, np.diff(csr.fwd_indptr))
     chunks = [sources[i : i + _BRANDES_CHUNK] for i in range(0, csr.n, _BRANDES_CHUNK)]
-    partials = _run_ordered(chunks, lambda c: _brandes_chunk(csr, tails, c), workers)
-    cb = np.zeros(csr.n, dtype=np.float64)
-    for part in partials:
-        cb += part
-    return cb
+    # chunk partials add up in chunk order, whatever the worker count
+    return sum(_run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers), np.zeros(csr.n))
 
 
-def load_centrality(
-    graph: DirectedGraph, nodes: Sequence[int], workers: int = 1
-) -> list[float]:
+def load_centrality(graph: Graph, nodes: Sequence[int], workers: int = 1) -> list[float]:
     """Fraction of shortest paths between other nodes passing through each node.
 
     Paths are directed; equal-length alternatives split the credit. Each
@@ -406,27 +355,16 @@ def load_centrality(
     normalized by (n-1)(n-2) with n the component size, which puts the hub
     of a star at exactly 1. Nodes in components smaller than 3 score 0.
     """
-    if not nodes:
-        return []
-    comp_of: dict[int, Component] = {}
-    for comp in weakly_connected_components(graph):
-        for v in comp.members:
-            comp_of[v] = comp
+    csr = compiled(graph)
+    labels = csr.labels("weak")
     out: dict[int, float] = {}
-    needed = sorted({id(comp_of[v]): comp_of[v] for v in nodes}.values(), key=lambda c: -len(c))
-    for comp in needed:
-        queried = [v for v in nodes if comp_of[v] is comp]
-        cn = len(comp)
-        if cn < 3:
-            for v in queried:
-                out[v] = 0.0
-            continue
-        sub, original = induced_subgraph(graph, comp.members)
-        back = {old: new for new, old in enumerate(original)}
-        cb = _betweenness(_Csr(sub), workers)
-        norm = (cn - 1) * (cn - 2)
-        for v in queried:
-            out[v] = float(cb[back[v]]) / norm
+    for label in set(labels[list(nodes)].tolist()):
+        sub, original = csr.component("weak", label)
+        cb = _betweenness(sub, workers)  # all 0 below 3 nodes: no path has an inner node
+        norm = max((sub.n - 1) * (sub.n - 2), 1)
+        for v in nodes:
+            if labels[v] == label:
+                out[v] = float(cb[np.searchsorted(original, v)]) / norm
     return [out[v] for v in nodes]
 
 
@@ -469,43 +407,46 @@ class MetricsReport:
 
 
 def build_metrics_report(
-    graph: DirectedGraph,
+    graph: Graph,
     plan: SamplePlan,
     hub_count: int = 10,
     workers: int = 1,
     edge_reuse_ratio: Optional[float] = None,
 ) -> MetricsReport:
-    """Run the full analysis suite on one graph.
+    """Run the full analysis suite on one graph, compiled once.
 
     `edge_reuse_ratio` can be supplied from ingestion stats when the graph
-    was loaded from Pajek (the format does not keep multiplicities).
+    was loaded from Pajek (the format does not keep multiplicities); it
+    must be supplied for a Csr, which keeps none either.
     """
-    n = graph.node_count
+    csr = compiled(graph)
+    n = csr.n
     if n == 0:
         raise ValueError("cannot analyze an empty graph")
-    hist = degree_distribution(graph, hub_count=hub_count)
-    graph_acc = average_clustering(graph)
+    hist = degree_distribution(csr, hub_count=hub_count)
+    local = _local_clustering(csr)
+    graph_acc = _ordered_mean(local)
 
-    weak_main = main_component(graph, "weak")
-    strong_main = main_component(graph, "strong")
+    main_size = {k: int(np.bincount(csr.labels(k)).max()) for k in ("weak", "strong")}
     component_sizes = {
         "nodes": n,
-        "weak_main": {"size": len(weak_main), "fraction": len(weak_main) / n},
-        "strong_main": {"size": len(strong_main), "fraction": len(strong_main) / n},
+        "weak_main": {"size": main_size["weak"], "fraction": main_size["weak"] / n},
+        "strong_main": {"size": main_size["strong"], "fraction": main_size["strong"] / n},
     }
 
-    selected = weak_main if plan.component == "weak_main" else strong_main
-    if len(selected) < 2:
+    kind = "weak" if plan.component == "weak_main" else "strong"
+    if main_size[kind] < 2:
         raise ValueError(
-            f"{plan.component} has {len(selected)} node(s); nothing to average paths over"
+            f"{plan.component} has {main_size[kind]} node(s); nothing to average paths over"
         )
-    sub, _ = induced_subgraph(graph, selected.members)
-    main_acc = average_clustering(sub)
-    aspl_value, pairs = aspl(graph, plan, workers=workers)
-    sample_size = math.ceil(plan.fraction * len(selected))
+    sub, original = csr.component(kind)
+    # a weak component keeps every neighbor of its nodes, a strong one may not
+    main_acc = _ordered_mean(local[original] if kind == "weak" else _local_clustering(sub))
+    aspl_value, pairs = aspl(csr, plan, workers=workers)
+    sample_size = math.ceil(plan.fraction * main_size[kind])
 
     hub_ids = [v for v, _ in hist.max_hubs]
-    loads = load_centrality(graph, hub_ids, workers=workers)
+    loads = load_centrality(csr, hub_ids, workers=workers)
     hub_load = [(deg, load) for (_, deg), load in zip(hist.max_hubs, loads)]
 
     return MetricsReport(

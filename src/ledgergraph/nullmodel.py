@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import Csr, DirectedGraph
 from .metrics import MetricsReport, SamplePlan, build_metrics_report
 
 
@@ -55,86 +55,77 @@ class RandomGraphSpec:
         return n * (n - 1) if self.directed else n * (n - 1) // 2
 
 
-def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # linear index over the n*(n-1) ordered non-loop pairs
-    src = k // (n - 1)
-    off = k % (n - 1)
-    dst = np.where(off < src, off, off + 1)
-    return src, dst
-
-
 def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
-    """Draw a random graph per `spec`, deterministically for a given seed.
+    """Draw a random graph per `spec`, deterministically for a given seed."""
+    graph = DirectedGraph.with_node_count(spec.node_count)
+    src, dst = random_arcs(spec)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        graph.add_arc(u, v)
+    return graph
+
+
+def random_arcs(spec: RandomGraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs of `erdos_renyi(spec)` as (src, dst) arrays, in draw order.
 
     G(n, m) draws exactly m distinct pairs uniformly (collision-retry,
     cheap while m is far from saturation, correct regardless). G(n, p)
     walks the pair-index space with geometric jumps, so the cost scales
-    with the number of arcs produced rather than n^2.
+    with the number of arcs produced rather than n^2. An undirected pair
+    (i, j) gives the arcs (i, j) and (j, i), one after the other.
     """
-    n = spec.node_count
-    graph = DirectedGraph.with_node_count(n)
+    n, p = spec.node_count, spec.edge_probability
     rng = np.random.default_rng(spec.seed)
-    if n < 2:
-        return graph
-
+    if n < 2 or p == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     if spec.edge_count is not None:
-        target = spec.edge_count
-        chosen: set[tuple[int, int]] = set()
-        while len(chosen) < target:
-            batch = max(256, int((target - len(chosen)) * 1.3))
+        # each batch keeps, in batch order, the first sighting of every pair
+        # that is neither a self-loop nor already chosen, up to m pairs
+        m = spec.edge_count
+        keys = np.empty(0, dtype=np.int64)  # u*n + v, in draw order
+        while len(keys) < m:
+            batch = max(256, int((m - len(keys)) * 1.3))
             a = rng.integers(0, n, size=batch)
             b = rng.integers(0, n, size=batch)
-            for u, v in zip(a.tolist(), b.tolist()):
-                if u == v:
-                    continue
-                pair = (u, v) if spec.directed else (min(u, v), max(u, v))
-                if pair in chosen:
-                    continue
-                chosen.add(pair)
-                graph.add_arc(pair[0], pair[1])
-                if not spec.directed:
-                    graph.add_arc(pair[1], pair[0])
-                if len(chosen) == target:
-                    break
-        return graph
-
-    p = spec.edge_probability
-    assert p is not None
-    if p == 0.0:
-        return graph
-    total = spec.max_edges()
-    if p == 1.0:
-        picks = np.arange(total, dtype=np.int64)
+            a, b = a[a != b], b[a != b]
+            if not spec.directed:
+                a, b = np.minimum(a, b), np.maximum(a, b)
+            new = a * n + b
+            new = new[np.sort(np.unique(new, return_index=True)[1])]
+            keys = np.concatenate((keys, new[~np.isin(new, keys)][: m - len(keys)]))
+        src, dst = keys // n, keys % n
     else:
-        # geometric jumps through the linear pair index space
-        jumps: list[np.ndarray] = []
-        covered = 0
-        expect = int(total * p) + 1
-        while covered < total:
-            draw = rng.geometric(p, size=max(256, expect))
-            jumps.append(draw)
-            covered += int(draw.sum())
-        steps = np.concatenate(jumps).cumsum() - 1
-        picks = steps[steps < total]
-    if spec.directed:
-        src, dst = _pair_from_index(picks, n)
-    else:
-        # unordered pair index -> (i, j) with i < j
-        i = (0.5 * (2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * picks))).astype(np.int64)
-        # sqrt rounding can land one row off near block boundaries
-        base = i * (2 * n - i - 1) // 2
-        i = np.where(base > picks, i - 1, i)
-        base = i * (2 * n - i - 1) // 2
-        next_base = (i + 1) * (2 * n - i - 2) // 2
-        i = np.where(picks >= next_base, i + 1, i)
-        base = i * (2 * n - i - 1) // 2
-        j = picks - base + i + 1
-        src, dst = i, j
-    for u, v in zip(src.tolist(), dst.tolist()):
-        graph.add_arc(u, v)
-        if not spec.directed:
-            graph.add_arc(v, u)
-    return graph
+        assert p is not None
+        total = spec.max_edges()
+        if p == 1.0:
+            picks = np.arange(total, dtype=np.int64)
+        else:
+            # geometric jumps through the linear pair index space
+            jumps: list[np.ndarray] = []
+            covered = 0
+            expect = int(total * p) + 1
+            while covered < total:
+                draw = rng.geometric(p, size=max(256, expect))
+                jumps.append(draw)
+                covered += int(draw.sum())
+            steps = np.concatenate(jumps).cumsum() - 1
+            picks = steps[steps < total]
+        if spec.directed:  # linear index over the n*(n-1) ordered non-loop pairs
+            src, off = picks // (n - 1), picks % (n - 1)
+            dst = np.where(off < src, off, off + 1)
+        else:
+            # unordered pair index -> (i, j) with i < j
+            i = (0.5 * (2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * picks))).astype(np.int64)
+            # sqrt rounding can land one row off near block boundaries
+            base = i * (2 * n - i - 1) // 2
+            i = np.where(base > picks, i - 1, i)
+            base = i * (2 * n - i - 1) // 2
+            next_base = (i + 1) * (2 * n - i - 2) // 2
+            i = np.where(picks >= next_base, i + 1, i)
+            base = i * (2 * n - i - 1) // 2
+            src, dst = i, picks - base + i + 1
+    if not spec.directed:
+        src, dst = np.stack((src, dst), axis=1).ravel(), np.stack((dst, src), axis=1).ravel()
+    return src, dst
 
 
 @dataclass
@@ -221,14 +212,17 @@ def small_world_compare(
     spec = RandomGraphSpec(
         node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed
     )
-    random_graph = erdos_renyi(spec)
+    random_graph = Csr(spec.node_count, *random_arcs(spec))
     timings["random_generation_s"] = time.perf_counter() - t0
 
     undefined: dict[str, str] = {}
     random_metrics: Optional[MetricsReport] = None
     t0 = time.perf_counter()
     try:
-        random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
+        # G(n, m) submits every pair once, so nothing is reused
+        random_metrics = build_metrics_report(
+            random_graph, plan, hub_count=0, workers=workers, edge_reuse_ratio=0.0
+        )
     except ValueError as exc:
         undefined["aspl_ratio"] = f"random graph is degenerate: {exc}"
         undefined["acc_ratio"] = f"random graph is degenerate: {exc}"

@@ -92,6 +92,22 @@ def average_clustering(graph: DirectedGraph) -> float:
     return total / n if n else 0.0
 
 
+def local_clustering(graph: DirectedGraph, directed: bool = False) -> list[float]:
+    """Per-node clustering by scanning every ordered neighbor pair: linked
+    pairs over k(k-1), where a pair is linked by an arc from the first to
+    the second when `directed`, else by an arc either way."""
+    und = [set(row) for row in adjacency(graph, undirected=True)]
+    out = [set(row) for row in adjacency(graph)]
+    values = []
+    for v in range(graph.node_count):
+        nbrs = sorted(und[v] - {v})
+        k = len(nbrs)
+        linked = sum(1 for a in nbrs for b in nbrs
+                     if a != b and b in (out[a] if directed else und[a]))
+        values.append(linked / (k * (k - 1)) if k >= 2 else 0.0)
+    return values
+
+
 def _all_shortest_paths(adj: list[list[int]], s: int, t: int) -> list[list[int]]:
     """Every shortest s->t path, by BFS layering then DFS enumeration."""
     dist = bfs_distances(adj, s)

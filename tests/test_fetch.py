@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import ledgergraph
 from ledgergraph.fetch import (
     BackoffPolicy,
     FetchError,
@@ -118,6 +123,45 @@ class TestBackoff:
                 )
         assert exc.value.failed_ranges
         assert "offset 0" in exc.value.failed_ranges[0]
+
+
+class TestIntervalFailures:
+    def test_failing_speculative_page_does_not_fail_complete_fetch(self):
+        # all 50 records arrive on page 0; the second worker's speculative
+        # page at offset 100 fails, but nothing lies there
+        txs = [ripple_tx(i, T0 + i) for i in range(50)]
+        serve = interval_responder(txs)
+
+        def responder(path, query):
+            if int(query["offset"]) >= 100:
+                return 500, {"error": "boom"}
+            time.sleep(0.2)  # let the speculative request fail first
+            return serve(path, query)
+
+        with FixtureServer(responder) as server:
+            result = fetch_transactions(ripple_job(server.url, workers=2))
+            offsets = sorted(int(q["offset"]) for _, q in server.requests)
+        assert len(result.records) == 50
+        assert offsets == [0, 100]
+
+    def test_mid_window_failure_names_rest_of_window(self):
+        txs = [ripple_tx(i, T0 + i) for i in range(250)]
+        serve = interval_responder(txs)
+
+        def responder(path, query):
+            if query["offset"] == "100":
+                return 500, {"error": "boom"}
+            return serve(path, query)
+
+        with FixtureServer(responder) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(ripple_job(server.url))
+        assert str(exc.value) == "1 page(s) failed"
+        ranges = exc.value.failed_ranges
+        assert len(ranges) == 2
+        assert "page offset 100: " in ranges[0]
+        assert "page offsets from 200 on" in ranges[1]
+        assert len(exc.value.partial.records) == 100
 
 
 class TestIntervalSemantics:
@@ -297,3 +341,13 @@ class TestEndpointResolution:
             FetchJob(ledger="nope", start=0, end=1, source="x")
         with pytest.raises(ValueError):
             FetchJob(ledger="ripple", start=0, end=1, source="x", workers=0)
+
+
+def test_only_fetching_imports_requests():
+    # build, analyze, compare and report never load the HTTP client
+    code = ("import sys, ledgergraph.cli, ledgergraph; "
+            "assert 'requests' not in sys.modules; ledgergraph.FetchJob")
+    src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -12,7 +12,7 @@ from ledgergraph.graph import (
     weakly_connected_components,
 )
 
-from synth import random_digraph
+from synth import multi_component_digraph, random_digraph
 
 
 def graph_from(arcs, n=None):
@@ -198,6 +198,21 @@ class TestComponents:
         assert len(comps) == 1
         assert len(comps[0]) == n
 
+
+    def test_partitions_match_networkx_at_scale(self):
+        nx = pytest.importorskip("networkx")
+        g = multi_component_digraph(sizes=(2500, 900, 300, 40, 7, 2, 1), seed=7)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(g.node_count))
+        ref.add_edges_from(g.arcs())
+        for ours, theirs in (
+            (weakly_connected_components, nx.weakly_connected_components),
+            (strongly_connected_components, nx.strongly_connected_components),
+        ):
+            comps = ours(g)
+            assert {c.members for c in comps} == {frozenset(c) for c in theirs(ref)}
+            assert [len(c) for c in comps] == sorted((len(c) for c in comps), reverse=True)
+            assert len(comps) > 7 and len(comps[0]) > 1
 
 class TestProjectionAndSubgraph:
     def test_projection_symmetric(self):

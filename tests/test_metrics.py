@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+from collections import Counter
 import json
 import random
 
 import numpy as np
 import pytest
 
+from ledgergraph import graph as graph_module, metrics
 from ledgergraph.graph import DirectedGraph
 from ledgergraph.metrics import (
     SamplePlan,
@@ -125,6 +127,32 @@ class TestClustering:
         g = graph_from([(0, 1), (1, 2), (2, 0), (3, 4)])
         assert average_clustering(g, nodes=[0, 1, 2]) == 1.0
 
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_pair_scan_oracle_bit_for_bit(self, monkeypatch, seed):
+        rng = random.Random(seed + 300)
+        n = rng.randrange(3, 90)
+        g = random_digraph(n, rng.randrange(0, min(4 * n, n * (n - 1))), seed)
+        monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 7)  # many wedge chunks
+        for directed in (False, True):
+            expected = oracles.local_clustering(g, directed)
+            assert [clustering_coefficient(g, v, directed) for v in range(n)] == expected
+            total = 0.0
+            for value in expected:  # left to right, as the removed loop added
+                total += value
+            assert average_clustering(g, directed=directed) == total / n
+
+    def test_matches_networkx_at_scale(self):
+        nx = pytest.importorskip("networkx")
+        g = multi_component_digraph(sizes=(2500, 900, 300, 40, 7, 2, 1), seed=7)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(g.node_count))
+        ref.add_edges_from(g.arcs())
+        assert abs(average_clustering(g) - nx.average_clustering(ref.to_undirected())) <= 1e-12
+        hist = degree_distribution(g)
+        assert hist.in_degree == Counter(d for _, d in ref.in_degree())
+        assert hist.out_degree == Counter(d for _, d in ref.out_degree())
+        assert hist.total_degree == Counter(d for _, d in ref.to_undirected().degree())
 
 class TestAspl:
     def test_directed_three_cycle(self):
@@ -330,6 +358,21 @@ class TestMetricsReport:
         report = build_metrics_report(g, SamplePlan(fraction=1.0))
         assert report.main_component_acc == 1.0
         assert report.graph_acc == pytest.approx(3 / 5)
+
+    @pytest.mark.parametrize("component", ["weak_main", "strong_main"])
+    def test_each_component_kind_found_once(self, monkeypatch, component):
+        calls = Counter()
+        for name in ("_weak_labels", "_strong_labels", "induced_subgraph"):
+            original = getattr(graph_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(graph_module, name, counted)
+        plan = SamplePlan(fraction=1.0, component=component, treat_as_undirected=True)
+        build_metrics_report(multi_component_digraph(), plan)
+        assert calls == {"_weak_labels": 1, "_strong_labels": 1}
 
     def test_strong_plan(self):
         g = graph_from([(0, 1), (1, 0), (1, 2)])
