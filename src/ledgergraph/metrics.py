@@ -130,8 +130,9 @@ def _local_clustering(csr: Csr, directed: bool = False) -> np.ndarray:
     later = np.cumsum(np.bincount(low, minlength=n))[low] - np.arange(len(eid)) - 1
     ends = np.cumsum(later)  # slot e pairs with its later slots as wedges [ends - later, ends)
     linked = np.zeros(n, dtype=np.float64)  # exact integers
-    for start in range(0, int(later.sum()), _WEDGE_CHUNK):
-        w = np.arange(start, min(start + _WEDGE_CHUNK, int(ends[-1])))
+    wedges = int(later.sum())
+    for start in range(0, wedges, _WEDGE_CHUNK):
+        w = np.arange(start, min(start + _WEDGE_CHUNK, wedges))
         e1 = np.searchsorted(ends, w, side="right")
         e2 = e1 + 1 + w - ends[e1] + later[e1]
         x, y = high[e1], high[e2]
