@@ -14,6 +14,7 @@ import argparse
 import datetime as _dt
 import json
 import logging
+import os
 import sys
 import time
 from typing import Optional
@@ -184,8 +185,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     graph, stats = build_graph(records, skipped_records=skipped)
     log.info("graph build took %.2fs", time.perf_counter() - t0)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        pajek.write_pajek(graph, fh, include_labels=args.labels)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            pajek.write_pajek(graph, fh, include_labels=args.labels)
+    except ValueError as exc:  # an address the format cannot quote
+        os.remove(args.out)
+        print(f"ledgergraph build: {exc}", file=sys.stderr)
+        return EXIT_DATA
     _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
     print(f"{stats.nodes} nodes, {stats.unique_arcs} arcs from {stats.transactions} "
           f"transactions ({stats.skipped_records} skipped lines)")
@@ -198,6 +204,11 @@ def _load_graph(path: str):
 
 
 def _make_plan(args: argparse.Namespace) -> SamplePlan:
+    """The ASPL sample plan; also checks --hubs and --workers."""
+    if args.hubs < 0:
+        raise ValueError(f"--hubs must be >= 0, got {args.hubs}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return SamplePlan(
         fraction=args.sample,
         seed=args.seed,

@@ -5,9 +5,10 @@ APIs drift) or an HTTP explorer speaking the layout in `explorers`. The
 fetch stage is the only part of the pipeline that talks to the network;
 everything downstream consumes TransactionRecords.
 
-Rate limiting: on a 429 the worker sleeps, doubles its pause up to a cap,
-and retries the same request; the pause resets after a success. Each
-worker keeps its own backoff state.
+Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
+doubles its pause up to a cap, and retries the same request; the pause
+resets after a success. A `Retry-After` in seconds lengthens a pause, up
+to the cap. Each worker keeps its own backoff state.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import explorers
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
 DEFAULT_PAGE_SIZE = 100  # the Ripple history service caps responses at 100
+_RETRY_STATUS = (429, 502, 503, 504)  # rate limited, or a transient gateway fault
 _BLOCKS_PER_TASK = 8
 
 
@@ -122,6 +124,7 @@ class RetryingClient:
         delay = self.policy.initial
         retries = 0
         while True:
+            pause = delay
             try:
                 resp = self.session.get(url, params=params, timeout=self.timeout)
             except requests.RequestException as exc:
@@ -133,14 +136,17 @@ class RetryingClient:
                         return resp.json()
                     except ValueError as exc:
                         raise FetchError(f"{url} returned non-JSON body") from exc
-                if resp.status_code != 429:
-                    raise FetchError(f"{url} returned HTTP {resp.status_code}")
+                status = resp.status_code
+                if status not in _RETRY_STATUS:
+                    raise FetchError(f"{url} returned HTTP {status}")
                 if retries >= self.policy.max_retries:
-                    raise FetchError(
-                        f"{url} still rate-limited after {retries} retries"
-                    )
-            self.pauses.append(delay)
-            self.sleep(delay)
+                    state = "rate-limited" if status == 429 else f"answering HTTP {status}"
+                    raise FetchError(f"{url} still {state} after {retries} retries")
+                wait = resp.headers.get("Retry-After", "").strip()
+                if wait.isdigit():  # delta-seconds; an HTTP-date keeps the schedule
+                    pause = min(max(delay, float(wait)), self.policy.cap)
+            self.pauses.append(pause)
+            self.sleep(pause)
             delay = min(delay * self.policy.factor, self.policy.cap)
             retries += 1
 

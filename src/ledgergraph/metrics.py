@@ -10,9 +10,13 @@ DirectedGraph compiles it itself.
 - Clustering lists every triangle once on the undirected projection,
   each edge oriented by degree (Latapy 2008), and averages the per-node
   values left to right, as a per-node loop adds them.
-- ASPL uses a bitset multi-source BFS: 64 BFS sources ride in one uint64
-  lane per node, and each level is one gather + bitwise-or sweep over the
-  arc array. Distances are summed as exact integers, so a fraction-1 run
+- ASPL uses a bitset multi-source BFS (Then et al. 2014): 64 BFS sources
+  ride in one uint64 lane per node. Each level picks a direction (Beamer,
+  Asanovic & Patterson 2012): while the frontier's out-arcs number fewer
+  than m / _PUSH_ALPHA it pushes, or-ing each frontier bitset into the
+  heads of that node's out-arcs only; otherwise it pulls, one gather +
+  bitwise-or sweep over all m reverse arcs. Both directions set the same
+  bits. Distances are summed as exact integers, so a fraction-1 run
   reproduces the brute-force all-pairs average bit for bit.
 - Load centrality is normalized shortest-path betweenness (it matches
   networkx.betweenness_centrality, not Goh load or
@@ -43,6 +47,7 @@ from .graph import Csr, DirectedGraph, compiled
 Graph = Union[DirectedGraph, Csr]
 
 _BITS = 64  # BFS sources per bitset batch
+_PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
 _BRANDES_BATCH = 16  # sources swept together inside a task
 _WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
@@ -80,6 +85,8 @@ class DegreeHistogram:
 
 
 def degree_distribution(graph: Graph, hub_count: int = 10) -> DegreeHistogram:
+    if hub_count < 0:
+        raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     csr = compiled(graph)
     in_deg, out_deg = np.diff(csr.rev_indptr), np.diff(csr.fwd_indptr)
     # mutual pairs: arcs whose reverse is among the sorted (tail, head) keys
@@ -217,25 +224,40 @@ def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
+def _arc_slots(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Forward-CSR slots of `counts[i]` arcs from `starts[i]`, node by node."""
+    first = np.cumsum(counts) - counts  # output position of each node's first arc
+    return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
+
+
 def _batch_pair_sums(
     csr: Csr, batch: np.ndarray, targets: np.ndarray, nonempty: np.ndarray, seg_starts: np.ndarray
 ) -> tuple[int, int]:
-    """Distance sum and pair count from <=64 sources to the target set."""
-    seen = np.zeros(csr.n, dtype=np.uint64)
-    seen[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
-    frontier = seen.copy()
+    """Distance sum and pair count from <=64 sources to the target set;
+    each level pushes or pulls by the rule in the module doc."""
+    frontier = np.zeros(csr.n, dtype=np.uint64)
+    frontier[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
+    unseen = ~frontier
+    active = batch  # nodes whose frontier bitset is nonzero
     total = 0
     pairs = 0
     level = 0
     while True:
         level += 1
         pulled = np.zeros(csr.n, dtype=np.uint64)
-        if seg_starts.size:
+        starts = csr.fwd_indptr[active]
+        counts = csr.fwd_indptr[active + 1] - starts
+        arcs = int(counts.sum())
+        if arcs * _PUSH_ALPHA < csr.m:
+            heads = csr.fwd_indices[_arc_slots(starts, counts, arcs)]
+            np.bitwise_or.at(pulled, heads, np.repeat(frontier[active], counts))
+        else:  # arcs > 0, so some node has in-arcs and seg_starts is not empty
             pulled[nonempty] = np.bitwise_or.reduceat(frontier[csr.rev_indices], seg_starts)
-        new = pulled & ~seen
-        if not new.any():
+        new = np.bitwise_and(pulled, unseen, out=pulled)
+        active = np.flatnonzero(new)
+        if not active.size:
             break
-        seen |= new
+        unseen ^= new
         hit = int(np.bitwise_count(new[targets]).sum())
         total += level * hit
         pairs += hit
@@ -309,8 +331,7 @@ def _brandes_chunk(csr: Csr, sources: np.ndarray) -> np.ndarray:
             total = int(counts.sum())
             if total == 0:
                 break
-            first = np.cumsum(counts) - counts  # slot of each node's first arc
-            arc = np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
+            arc = _arc_slots(starts, counts, total)
             row = np.repeat(frontier - v, counts)
             heads = indices[arc] + row
             on_tree = dist[heads] < 0  # first reached at this level

@@ -5,14 +5,16 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
-Responder = Callable[[str, dict], tuple[int, object]]
+Responder = Callable[[str, dict], tuple]
 
 
 class FixtureServer:
     """Serves whatever `responder(path, query) -> (status, payload)` says.
+
+    A responder may add a third element, a dict of extra response headers.
 
     Every request is appended to `requests` as (path, query) with query
     values flattened to single strings.
@@ -30,9 +32,11 @@ class FixtureServer:
                 query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
                 with outer._lock:
                     outer.requests.append((parsed.path, query))
-                status, payload = outer.responder(parsed.path, query)
+                status, payload, *extra = outer.responder(parsed.path, query)
                 body = json.dumps(payload).encode()
                 self.send_response(status)
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
@@ -92,16 +96,19 @@ def block_responder(blocks: list[tuple[int, list[dict]]]) -> Responder:
     return respond
 
 
-def flaky(responder: Responder, fail_first: int) -> Responder:
-    """Wrap a responder to answer 429 for the first `fail_first` requests."""
+def flaky(
+    responder: Responder, fail_first: int, status: int = 429, headers: Optional[dict] = None
+) -> Responder:
+    """Wrap a responder to answer `status` (with `headers`) for the first
+    `fail_first` requests."""
     remaining = {"n": fail_first}
     lock = threading.Lock()
 
-    def respond(path: str, query: dict) -> tuple[int, object]:
+    def respond(path: str, query: dict) -> tuple:
         with lock:
             if remaining["n"] > 0:
                 remaining["n"] -= 1
-                return 429, {"error": "rate limited"}
+                return status, {"error": "try again"}, headers or {}
         return responder(path, query)
 
     return respond

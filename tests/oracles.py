@@ -9,6 +9,7 @@ point.
 from __future__ import annotations
 
 from collections import deque
+from typing import Optional
 
 from ledgergraph.graph import DirectedGraph
 
@@ -58,16 +59,46 @@ def weak_main_members(graph: DirectedGraph) -> set[int]:
     return best
 
 
-def exact_aspl(graph: DirectedGraph, undirected: bool = False) -> tuple[float, int]:
-    """All-pairs ASPL over the weak main component, connected pairs only."""
-    members = weak_main_members(graph)
-    adj = adjacency(graph, undirected=undirected)
+def strong_main_members(graph: DirectedGraph) -> set[int]:
+    """Largest strongly connected component: the nodes that both reach and
+    are reached from a node, by forward and backward flood fill (ties:
+    lowest id)."""
+    forward = adjacency(graph)
+    backward: list[list[int]] = [[] for _ in range(graph.node_count)]
+    for a, b in graph.arcs():
+        backward[b].append(a)
+    seen: set[int] = set()
+    best: set[int] = set()
+    for start in range(graph.node_count):  # `start` is the lowest id of its component
+        if start in seen:
+            continue
+        comp = set(bfs_distances(forward, start)) & set(bfs_distances(backward, start))
+        seen |= comp
+        if len(comp) > len(best):
+            best = comp
+    return best
+
+
+def exact_aspl(
+    graph: DirectedGraph,
+    undirected: bool = False,
+    members: Optional[set[int]] = None,
+    among: Optional[set[int]] = None,
+) -> tuple[float, int]:
+    """All-pairs ASPL over the weak main component, connected pairs only.
+
+    `members` names another component; paths stay inside it. `among`
+    keeps only the pairs with both ends in that node subset.
+    """
+    members = weak_main_members(graph) if members is None else members
+    adj = [[v for v in row if v in members] for row in adjacency(graph, undirected=undirected)]
+    ends = members if among is None else among
     total = 0
     pairs = 0
-    for s in sorted(members):
+    for s in sorted(ends):
         dist = bfs_distances(adj, s)
         for t, d in dist.items():
-            if t != s and t in members:
+            if t != s and t in ends:
                 total += d
                 pairs += 1
     return total / pairs, pairs

@@ -128,6 +128,29 @@ def test_analyze_bad_sample_fraction_is_usage_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("flag", [["--hubs", "-1"], ["--workers", "0"]])
+def test_negative_hubs_or_no_workers_is_usage_error(tmp_path, capsys, command, flag):
+    net = tmp_path / "g.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    out = tmp_path / "r.json"
+    assert main([command, "--in", str(net), "--out", str(out), *flag]) == 1
+    assert f"ledgergraph {command}: {flag[0]} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_label_pajek_cannot_quote_is_data_error(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    records = [TransactionRecord("ripple", ("r1",), ('r"2',), T0, "Payment")]
+    with open(dump, "w") as fh:
+        write_dump(records, fh)
+    net = tmp_path / "g.net"
+    assert main(["build", "--in", str(dump), "--out", str(net), "--labels"]) == 3
+    assert "ledgergraph build: " in capsys.readouterr().err
+    assert not net.exists()
+    assert not (tmp_path / "g.net.stats.json").exists()
+
+
 def test_worker_determinism_byte_identical(tmp_path):
     g = watts_strogatz(600, 6, 0.1, seed=9)
     net = tmp_path / "ws.net"

@@ -125,6 +125,55 @@ class TestBackoff:
         assert "offset 0" in exc.value.failed_ranges[0]
 
 
+class TestTransientServerErrors:
+    @pytest.mark.parametrize("status", [502, 503, 504])
+    def test_one_5xx_then_success(self, status):
+        txs = [ripple_tx(i, T0 + i) for i in range(3)]
+        pauses = []
+        with FixtureServer(flaky(interval_responder(txs), 1, status)) as server:
+            result = fetch_transactions(ripple_job(server.url), sleep=pauses.append)
+        assert len(result.records) == 3
+        assert pauses == [5.0]
+
+    @pytest.mark.parametrize(
+        "status, retry_after, pause",
+        [(503, "3", 3.0), (429, "3", 3.0), (503, "1", 2.0), (503, "90", 10.0),
+         (503, "Wed, 21 Oct 2015 07:28:00 GMT", 2.0)],
+    )
+    def test_retry_after_seconds_lengthen_the_pause(self, status, retry_after, pause):
+        txs = [ripple_tx(i, T0 + i) for i in range(3)]
+        serve = flaky(interval_responder(txs), 1, status, {"Retry-After": retry_after})
+        pauses = []
+        with FixtureServer(serve) as server:
+            result = fetch_transactions(
+                ripple_job(server.url), policy=BackoffPolicy(initial=2.0, cap=10.0),
+                sleep=pauses.append,
+            )
+        assert len(result.records) == 3
+        assert pauses == [pause]
+
+    def test_endless_503_exhausts_retries_and_names_range(self):
+        always_503 = lambda path, query: (503, {})
+        pauses = []
+        with FixtureServer(always_503) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(
+                    ripple_job(server.url), policy=BackoffPolicy(max_retries=2),
+                    sleep=pauses.append,
+                )
+        assert pauses == [5.0, 10.0]
+        assert "page offset 0: " in exc.value.failed_ranges[0]
+        assert "HTTP 503 after 2 retries" in exc.value.failed_ranges[0]
+
+    def test_500_stays_fatal(self):
+        pauses = []
+        with FixtureServer(lambda path, query: (500, {})) as server:
+            client = RetryingClient(BackoffPolicy(), sleep=pauses.append)
+            with pytest.raises(FetchError, match="HTTP 500"):
+                client.get_json(server.url + "/v2/transactions")
+        assert pauses == []
+
+
 class TestIntervalFailures:
     def test_failing_speculative_page_does_not_fail_complete_fetch(self):
         # all 50 records arrive on page 0; the second worker's speculative

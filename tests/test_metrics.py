@@ -51,6 +51,13 @@ class TestDegreeDistribution:
         assert hist.out_degree == {1: 3}
         assert hist.total_degree == {2: 3}
 
+    def test_negative_hub_count_rejected(self):
+        # a negative slice bound would list all hubs but the last few
+        with pytest.raises(ValueError, match="hub_count"):
+            degree_distribution(three_cycle(), hub_count=-1)
+        with pytest.raises(ValueError, match="hub_count"):
+            build_metrics_report(three_cycle(), SamplePlan(fraction=1.0), hub_count=-3)
+
     def test_star_out_only(self):
         g = graph_from([(0, leaf) for leaf in range(1, 5)])
         hist = degree_distribution(g)
@@ -188,6 +195,53 @@ class TestAspl:
         value, pairs = aspl(g, SamplePlan(fraction=1.0))
         assert pairs == expect_pairs
         assert value == expect_value  # integer sums divide identically
+
+    # _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls
+    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
+    @pytest.mark.parametrize("component", ["weak_main", "strong_main"])
+    @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
+    @pytest.mark.parametrize(
+        "make",
+        [multi_component_digraph, lambda: random_digraph(150, 450, 4)],
+        ids=["multi", "random"],
+    )
+    def test_each_direction_equals_bruteforce(self, monkeypatch, alpha, component, undirected, make):
+        g = make()
+        if component == "weak_main":
+            members = oracles.weak_main_members(g)
+        else:
+            members = oracles.strong_main_members(g)
+        expected = oracles.exact_aspl(g, undirected, members)
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        plan = SamplePlan(fraction=1.0, component=component, treat_as_undirected=undirected)
+        assert aspl(g, plan) == expected
+
+    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
+    def test_each_direction_equals_bruteforce_on_a_sample(self, monkeypatch, alpha):
+        g = multi_component_digraph()
+        members = oracles.weak_main_members(g)
+        picked = metrics._sample_nodes(len(members), 0.5, 3)  # ids in the main component
+        assert len(picked) % metrics._BITS == 5  # the last batch has 5 sources
+        among = {sorted(members)[i] for i in picked}
+        expected = oracles.exact_aspl(g, members=members, among=among)
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        assert aspl(g, SamplePlan(fraction=0.5, seed=3)) == expected
+
+    def test_matches_networkx_at_scale(self):
+        nx = pytest.importorskip("networkx")
+        g = multi_component_digraph(sizes=(2200, 300, 40, 7, 2, 1), seed=7)
+        ref = nx.DiGraph()
+        ref.add_nodes_from(range(g.node_count))
+        ref.add_edges_from(g.arcs())
+        main = max(nx.weakly_connected_components(ref), key=len)
+        total = pairs = 0
+        for _, dist in nx.all_pairs_shortest_path_length(ref.subgraph(main)):
+            total += sum(dist.values())
+            pairs += len(dist) - 1  # the source itself, at distance 0
+        value, got_pairs = aspl(g, SamplePlan(fraction=1.0))
+        assert len(main) > 2000
+        assert got_pairs == pairs
+        assert value == total / pairs
 
     def test_deterministic_given_seed(self):
         g = random_digraph(400, 1600, 2)
