@@ -130,3 +130,52 @@ def test_write_to_stream():
     write_pajek(g, buf)
     assert buf.getvalue() == "*Vertices 1\n*Arcs\n"
     assert read_pajek(io.StringIO(buf.getvalue())).node_count == 1
+
+
+_GOOD = "".join(f"{i % 5 + 1} {(i * 3) % 5 + 1}\n" for i in range(60))
+
+# every message and line number below was taken from the line-by-line parser
+MALFORMED = [
+    ("*Vertices 2\n*Arcs\n1 x\n", "expected integer arc endpoint, got 'x', line 3", 3),
+    ("*Vertices 2\n*Arcs\n1 1.5\n", "expected integer arc endpoint, got '1.5', line 3", 3),
+    ("*Vertices 3\n*Arcs\n1 2\n1 2 3\n", "arc line must be '<src> <dst>', got '1 2 3', line 4", 4),
+    ("*Vertices 2\n*Arcs\n1\n", "arc line must be '<src> <dst>', got '1', line 3", 3),
+    ("*Vertices 2\n*Arcs\n0 1\n", "index out of range, line 3", 3),
+    ("*Vertices 2\n*Arcs\n1 2\n2 3\n", "index out of range, line 4", 4),
+    ("*Vertices 2\n*Arcs\n-1 2\n", "index out of range, line 3", 3),
+    ("*Vertices 2\n*Arcs\n1 99999999999999999999\n", "index out of range, line 3", 3),
+    ("*Vertices 2\r\n*Arcs\r\n1 3\r\n", "index out of range, line 3", 3),
+    ("*Vertices 5\n*Arcs\n" + _GOOD + "2 6\n" + _GOOD, "index out of range, line 63", 63),
+    ("*Vertices 5\n*Arcs\n" + _GOOD + "2 4 1\n" + _GOOD,
+     "arc line must be '<src> <dst>', got '2 4 1', line 63", 63),
+    ("*Vertices 2\n*Arcs\n1 2\n*Matrix\n", "unsupported section '*Matrix', line 4", 4),
+    ("*Vertices 2\n*Partition x\n", "unsupported section '*Partition x', line 2", 2),
+    ("*Vertices 2\n", "missing '*Arcs' or '*Edges' section, line 1", 1),
+    ('*Vertices 2\n1 "a"\n2 "b"\n', "missing '*Arcs' or '*Edges' section, line 3", 3),
+    ('*Vertices 2\n1 "a"\n*Arcs\n',
+     "labels must cover vertices 1..2 exactly once, got 1 labels, line 3", 3),
+    ('*Vertices 2\n1 "a"\n2 "a"\n*Arcs\n1 2\n', "duplicate label 'a', line 4", 4),
+    ('*Vertices 2\n1 "a"\n1 "b"\n*Arcs\n', "vertex 1 labeled twice, line 3", 3),
+    ('*Vertices 2\n3 "a"\n*Arcs\n', "index out of range (3 of 2), line 2", 2),
+    ('*Vertices 2\n1 ""\n*Arcs\n', "empty vertex label, line 2", 2),
+    ('*Vertices 2\nx "a"\n*Arcs\n', "expected integer vertex index, got 'x', line 2", 2),
+    ("Vertices 2\n*Arcs\n", "expected '*Vertices N' header, got 'Vertices 2', line 1", 1),
+    ("*Vertices two\n*Arcs\n", "expected integer vertex count, got 'two', line 1", 1),
+    ("*Vertices -1\n*Arcs\n", "vertex count must be >= 0, got -1, line 1", 1),
+    ("", "empty stream, expected '*Vertices N' header, line 1", 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line", MALFORMED)
+def test_malformed_document_error_parity(text, message, line):
+    with pytest.raises(PajekParseError) as exc:
+        loads(text)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("text,arcs", [
+    ("*Vertices 10\n*Arcs\n1_0 1\n", [(9, 0)]),  # int() accepts digit separators
+    ("*Vertices 2\n*Arcs\n+1 ٢\n", [(0, 1)]),  # and signs and non-ASCII digits
+])
+def test_tokens_int_accepts_still_parse(text, arcs):
+    assert sorted(loads(text).arcs()) == arcs

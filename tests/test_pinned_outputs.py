@@ -1,6 +1,7 @@
-"""Byte-level pins of `analyze` and `compare` outputs and of the G(n, m) draw.
+"""Byte-level pins of `build`, `analyze` and `compare` outputs, of what
+`read_pajek` returns for unusual documents, and of the G(n, m) draw.
 
-The digests were written against the set-based analysis path and must
+The digests were written against the set-based graph and analysis and must
 survive any change to how the graph is stored or the metrics are
 computed: every sum in the reports runs in a fixed order, so a faster
 kernel that computes the same numbers writes the same bytes.
@@ -15,6 +16,8 @@ from ledgergraph.cli import main
 from ledgergraph.graph import DirectedGraph
 from ledgergraph.nullmodel import RandomGraphSpec, erdos_renyi
 from ledgergraph.pajek import dumps as pajek_dumps
+from ledgergraph.pajek import loads as pajek_loads
+from ledgergraph.records import TransactionRecord, write_dump
 
 from synth import multi_component_digraph, watts_strogatz
 
@@ -130,3 +133,108 @@ def test_gnm_arcs_pinned(case, expected):
     arcs = sorted(erdos_renyi(spec).arcs())
     assert len(arcs) == m * (1 if directed else 2)
     assert hashlib.sha256(repr(arcs).encode()).hexdigest() == expected
+
+
+T0 = 1_598_918_400  # 2020-09-01T00:00:00Z
+
+
+def mixed_dump(path, count, pool_size, seed, garbage=False):
+    """Seeded dump that mixes every case `build` maps differently.
+
+    UTXO cross products draw their sides with replacement from one pool,
+    so addresses repeat within a side, and some records name a sender as
+    a recipient too (a self-pair). Ripple records include non-payments,
+    account-ledger pairs can be self-pairs, and about one record in ten
+    is written twice.
+    """
+    rng = random.Random(seed)
+    pool = [f"addr{i:04d}" for i in range(pool_size)]
+    records = []
+    for i in range(count):
+        roll = rng.random()
+        if roll < 0.5:
+            senders = tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))
+            recipients = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            if rng.random() < 0.2:
+                recipients += (senders[-1],)
+            rec = TransactionRecord("bitcoin", senders, recipients, T0 + i, "transfer")
+        elif roll < 0.8:
+            kind = "Payment" if rng.random() < 0.7 else rng.choice(["OfferCreate", "TrustSet"])
+            rec = TransactionRecord("ripple", (rng.choice(pool),), (rng.choice(pool),),
+                                    T0 + i, kind)
+        else:
+            rec = TransactionRecord("ethereum", (rng.choice(pool),), (rng.choice(pool),),
+                                    T0 + i, "call")
+        records.append(rec)
+        if rng.random() < 0.1:
+            records.append(rec)
+    with open(path, "w") as fh:
+        write_dump(records, fh)
+        if garbage:
+            fh.write("{truncated\n")
+
+
+BUILD_CASES = [
+    # (count, pool, seed, garbage): sha256 of the Pajek file, the labeled
+    # Pajek file, and the stats sidecar
+    ((300, 40, 1, False), [
+        "ab932b9bde57d5d80ac4c9123bd67a2e4a12eb1426fdc5db6e36ec37f994a180",
+        "841110d604ea64d9e3e8b7eaecbb343c7a34d5cf97e0f0814858b054c4b82ae8",
+        "fc9c036c0b4a68c2c256271e0d139ae52d1487e4c3cbdc2e17f19f03033099bd"]),
+    ((2000, 400, 2, True), [
+        "f4f81685728a50920782dddd34a5c230f2b6fe91d99b4523bfb64e290d886b50",
+        "e765b4e5c6d08ec7f08fb32d3e8a05e810bb563ecb26a0cfcc348bbd8f371215",
+        "102f8e76f4fe7f6a1efd9dbef9ba89eb9cfb72694ce86755ad4fe2e8bf769b8e"]),
+]
+
+
+@pytest.mark.parametrize("case,expected", BUILD_CASES)
+def test_build_outputs_pinned(tmp_path, case, expected):
+    count, pool, seed, garbage = case
+    dump = tmp_path / "dump.ndjson"
+    mixed_dump(dump, count, pool, seed, garbage)
+    got = []
+    for name, flags in (("bare.net", []), ("labeled.net", ["--labels"])):
+        net = tmp_path / name
+        assert main(["build", "--in", str(dump), "--out", str(net), *flags]) == 0
+        got.append(_sha(net))
+    stats = [(tmp_path / f"{name}.stats.json").read_bytes() for name in ("bare.net", "labeled.net")]
+    assert stats[0] == stats[1]
+    got.append(hashlib.sha256(stats[0]).hexdigest())
+    assert got == expected
+
+
+NO3, NO4 = [None] * 3, [None] * 4
+READ_CASES = [
+    # (document, node_count, sorted arcs, labels, edge_reuse_ratio, self_loop_count)
+    ("*Vertices 3\r\n*Arcs\r\n1 2\r\n2 3\r\n3 1\r\n",
+     3, [(0, 1), (1, 2), (2, 0)], NO3, 0.0, 0),
+    ('*Vertices 2\r\n1 "a"\r\n2 "b"\r\n*Arcs\r\n1 2\r\n2 1\r\n',
+     2, [(0, 1), (1, 0)], ["a", "b"], 0.0, 0),
+    ("*Vertices 4\n\n*Arcs\n\n1 2\n   \n2 3\n\t\n3 4\n\n",
+     4, [(0, 1), (1, 2), (2, 3)], NO4, 0.0, 0),
+    ("*Vertices 3\n*edges\n1 2\n2 3\n",
+     3, [(0, 1), (1, 0), (1, 2), (2, 1)], NO3, 0.0, 0),
+    ("*Vertices 4\n*Arcs\n1 2\n*Edges\n2 3\n3 4\n1 2\n",
+     4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)], NO4, 0.14285714285714285, 0),
+    ("*Vertices 3\n*Arcs\n1 2\n1 2\n2 3\n1 2\n3 1\n",
+     3, [(0, 1), (1, 2), (2, 0)], NO3, 0.4, 0),
+    ("*Vertices 3\n*Arcs\n3 3\n1 2\n3 3\n2 1\n",
+     3, [(0, 1), (1, 0)], NO3, 0.0, 2),
+    ("*Vertices 3\n*Edges\n2 2\n1 2\n2 1\n",
+     3, [(0, 1), (1, 0)], NO3, 0.5, 1),
+    ('*Vertices 3\n2   "b c"\n1 a\n3 "x"\n*Arcs\n2 1\n3 3\n',
+     3, [(1, 0)], ["a", "b c", "x"], 0.0, 1),
+    ("*Vertices 3\n*Arcs\n  1   2  \n2 3\n",
+     3, [(0, 1), (1, 2)], NO3, 0.0, 0),
+    ("*Vertices 2\n*Arcs\n1 2", 2, [(0, 1)], [None, None], 0.0, 0),
+    ("*vertices 2\n*arcs\n2 1\n", 2, [(1, 0)], [None, None], 0.0, 0),
+]
+
+
+@pytest.mark.parametrize("text,nodes,arcs,labels,reuse,loops", READ_CASES)
+def test_read_pajek_pinned(text, nodes, arcs, labels, reuse, loops):
+    g = pajek_loads(text)
+    got = (g.node_count, sorted(g.arcs()), [g.address_of(v) for v in range(g.node_count)],
+           g.edge_reuse_ratio(), g.self_loop_count)
+    assert got == (nodes, arcs, labels, reuse, loops)
