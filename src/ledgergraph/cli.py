@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import errno
 import json
 import logging
 import os
@@ -59,6 +60,12 @@ def _json_bytes(payload: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _require_out_dir(path: str) -> None:
+    """Fail before any work when the directory `path` goes in is missing."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", os.path.dirname(path))
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -145,20 +152,22 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
     t0 = time.perf_counter()
     try:
-        result = fetch_transactions(job)
-    except FetchError as exc:
-        if exc.partial is not None and exc.partial.records:
-            _write_dump_sorted(exc.partial.records, args.out)
-            print(f"wrote {len(exc.partial.records)} records fetched before the failure",
-                  file=sys.stderr)
-        print(f"ledgergraph fetch: {exc}", file=sys.stderr)
-        for rng in exc.failed_ranges:
-            print(f"  failed: {rng}", file=sys.stderr)
-        return EXIT_FETCH
+        _require_out_dir(args.out)
+        try:
+            result = fetch_transactions(job)
+        except FetchError as exc:
+            if exc.partial is not None and exc.partial.records:
+                _write_dump_sorted(exc.partial.records, args.out)
+                print(f"wrote {len(exc.partial.records)} records fetched before the failure",
+                      file=sys.stderr)
+            print(f"ledgergraph fetch: {exc}", file=sys.stderr)
+            for rng in exc.failed_ranges:
+                print(f"  failed: {rng}", file=sys.stderr)
+            return EXIT_FETCH
+        _write_dump_sorted(result.records, args.out)
     except OSError as exc:
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_FETCH
-    _write_dump_sorted(result.records, args.out)
     log.info("fetch phase took %.2fs", time.perf_counter() - t0)
     if result.skipped_payloads:
         log.warning("skipped %d malformed payload(s)", result.skipped_payloads)
@@ -174,12 +183,10 @@ def _write_dump_sorted(records, path: str) -> None:
 
 def cmd_build(args: argparse.Namespace) -> int:
     try:
+        _require_out_dir(args.out)
         with open(args.dump, encoding="utf-8") as fh:
             records, skipped = read_dump_lenient(fh)
-    except RecordSchemaError as exc:
-        print(f"ledgergraph build: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (RecordSchemaError, OSError) as exc:
         print(f"ledgergraph build: {exc}", file=sys.stderr)
         return EXIT_DATA
     t0 = time.perf_counter()
@@ -188,11 +195,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             pajek.write_pajek(graph, fh, include_labels=args.labels)
-    except ValueError as exc:  # an address the format cannot quote
-        os.remove(args.out)
+        _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
+    except (ValueError, OSError) as exc:  # an address Pajek cannot quote, or a failed write
+        if os.path.isfile(args.out):
+            os.remove(args.out)
         print(f"ledgergraph build: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
     print(f"{stats.nodes} nodes, {stats.unique_arcs} arcs from {stats.transactions} "
           f"transactions ({stats.skipped_records} skipped lines)")
     return EXIT_OK
@@ -237,6 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"ledgergraph analyze: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _require_out_dir(args.out)
         t0 = time.perf_counter()
         graph = _load_graph(args.graph)
         log.info("graph load took %.2fs", time.perf_counter() - t0)
@@ -246,15 +255,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             edge_reuse_ratio=_stats_edge_reuse(args.stats),
         )
         log.info("metrics took %.2fs", time.perf_counter() - t0)
+        _write_text(args.out, _json_bytes(report.to_json_dict()))
+        base = _histogram_base(args.out)
+        hist = report.degree_histogram
+        _write_text(base + ".degree_in.txt", histogram_lines(hist.in_degree))
+        _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))
+        _write_text(base + ".degree_total.txt", histogram_lines(hist.total_degree))
     except (pajek.PajekParseError, ValueError, OSError) as exc:
         print(f"ledgergraph analyze: {exc}", file=sys.stderr)
         return EXIT_DATA
-    _write_text(args.out, _json_bytes(report.to_json_dict()))
-    base = _histogram_base(args.out)
-    hist = report.degree_histogram
-    _write_text(base + ".degree_in.txt", histogram_lines(hist.in_degree))
-    _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))
-    _write_text(base + ".degree_total.txt", histogram_lines(hist.total_degree))
     print(f"ACC {report.graph_acc:.6g}, main component ASPL {report.main_component_aspl:.6g}")
     return EXIT_OK
 
@@ -266,6 +275,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"ledgergraph compare: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
+        _require_out_dir(args.out)
         t0 = time.perf_counter()
         graph = _load_graph(args.graph)
         log.info("graph load took %.2fs", time.perf_counter() - t0)
@@ -273,13 +283,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             graph, plan, seed=args.seed, hub_count=args.hubs, workers=args.workers,
             edge_reuse_ratio=_stats_edge_reuse(args.stats),
         )
+        for phase, seconds in (report.timings or {}).items():
+            log.info("%s: %.2fs", phase, seconds)
+        # timings stay out of the file so reports are byte-stable across runs
+        _write_text(args.out, _json_bytes(report.to_json_dict(include_timings=False)))
     except (pajek.PajekParseError, ValueError, OSError) as exc:
         print(f"ledgergraph compare: {exc}", file=sys.stderr)
         return EXIT_DATA
-    for phase, seconds in (report.timings or {}).items():
-        log.info("%s: %.2fs", phase, seconds)
-    # timings stay out of the file so reports are byte-stable across runs
-    _write_text(args.out, _json_bytes(report.to_json_dict(include_timings=False)))
     sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"
     print(f"sigma {sigma}")
     return EXIT_OK

@@ -17,11 +17,11 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from . import explorers
+from .metrics import _run_ordered
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
 DEFAULT_PAGE_SIZE = 100  # the Ripple history service caps responses at 100
@@ -245,11 +245,7 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
                 stop.set()
                 return
 
-    threads = [threading.Thread(target=worker) for _ in range(job.workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    _run_ordered(range(job.workers), lambda _: worker(), job.workers)
 
     result = FetchResult()
     seen: set = set()
@@ -347,20 +343,13 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
                     out.append((_dedup_key(tx, job.ledger, record), record))
         return out, skipped
 
-    outcomes: list[object] = [None] * len(chunks)
-
-    def run(i: int) -> None:
+    def run(blocks: range) -> object:
         try:
-            outcomes[i] = fetch_chunk(chunks[i])
+            return fetch_chunk(blocks)
         except FetchError as exc:
-            outcomes[i] = exc
+            return exc
 
-    if job.workers == 1:
-        for i in range(len(chunks)):
-            run(i)
-    else:
-        with ThreadPoolExecutor(max_workers=job.workers) as pool:
-            list(pool.map(run, range(len(chunks))))
+    outcomes = _run_ordered(chunks, run, job.workers)
 
     seen: set = set()
     for i, outcome in enumerate(outcomes):

@@ -1,28 +1,29 @@
-"""Directed simple graph over interned ledger addresses.
+"""Directed simple graph over interned ledger addresses, stored as arrays.
 
-Nodes are dense integer ids assigned in first-seen order. Arcs are stored
-as a set (no parallel arcs, no self-loops); repeated submissions of an
-existing arc bump a multiplicity counter so edge-reuse statistics stay
-derivable, and self-loop submissions are counted but never stored.
+Nodes are dense integer ids assigned in first-seen order. The arcs live in
+one `Csr` (forward and reverse CSR arrays sorted by (tail, head)) plus a
+per-arc multiplicity array, so edge-reuse statistics stay derivable;
+self-loop submissions are counted but never stored. Bulk builders hand all
+their submissions to `DirectedGraph.from_arcs`, which finds the distinct
+arcs and their counts with one `np.unique` over int64 keys tail * n + head.
+`add_arc` submits one arc at a time into a buffer the next read compiles.
 
 Construction is single-writer; after that every function here treats the
 graph as read-only, so a built graph can be shared across threads.
 
-Analysis never reads the sets. It compiles the graph once into a `Csr`
-(forward and reverse CSR arrays sorted by (tail, head)) and runs on that:
-weak components by array hook-and-shortcut, strong ones by an iterative
-Tarjan over the CSR lists, and a component's sub-CSR by a mask renumbered
-with `cumsum`, so its ids follow ascending original id exactly as
-`induced_subgraph` numbers them. A Csr computes each component kind once
-and keeps it, so one report finds each main component once.
+Analysis runs on the Csr: weak components by array hook-and-shortcut,
+strong ones by an iterative Tarjan over the CSR lists, and a component's
+sub-CSR by a mask renumbered with `cumsum`, so its ids follow ascending
+original id exactly as `induced_subgraph` numbers them. A Csr computes
+each component kind once and keeps it, so one report finds each main
+component once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,48 +39,69 @@ class DirectedGraph:
 
     Node ids are consecutive integers starting at 0. Nodes created through
     :meth:`intern_address` carry their address string; nodes created in bulk
-    via :meth:`with_node_count` (synthetic graphs, unlabeled Pajek files)
-    have no label.
+    (synthetic graphs, unlabeled Pajek files) have no label.
     """
 
-    __slots__ = (
-        "_succ",
-        "_pred",
-        "_addr_to_id",
-        "_id_to_addr",
-        "_arc_count",
-        "_extra_multiplicity",
-        "_pair_submissions",
-        "self_loop_count",
-    )
+    __slots__ = ("_addr_to_id", "_id_to_addr", "_csr", "_mult", "_pending", "_pair_submissions",
+                 "self_loop_count")
 
     def __init__(self) -> None:
-        self._succ: list[set[int]] = []
-        self._pred: list[set[int]] = []
         self._addr_to_id: dict[str, int] = {}
         self._id_to_addr: list[Optional[str]] = []
-        self._arc_count = 0
-        # per-arc repeats beyond the first, keyed (src, dst); absent == 1
-        self._extra_multiplicity: dict[tuple[int, int], int] = {}
+        self._csr = Csr(0, _NO_ARCS, _NO_ARCS)
+        self._mult = _NO_ARCS  # submissions of each arc, in forward CSR order
+        # while add_arc submits arcs: (src, dst) -> multiplicity of every arc
+        self._pending: dict[tuple[int, int], int] = {}
         self._pair_submissions = 0
         self.self_loop_count = 0
 
     @classmethod
     def with_node_count(cls, n: int) -> "DirectedGraph":
         """Create a graph with `n` unlabeled nodes 0..n-1."""
+        return cls.from_arcs(n, _NO_ARCS, _NO_ARCS)
+
+    @classmethod
+    def from_arcs(cls, n: int, src: np.ndarray, dst: np.ndarray,
+                  labels: Optional[Sequence[Optional[str]]] = None) -> "DirectedGraph":
+        """Graph of `n` nodes from the arc submissions (src[i], dst[i]).
+
+        Repeats and self-loops are allowed and counted as `add_arc` counts
+        them; the result does not depend on their order. `labels[v]` is the
+        address of node v (None for an unlabeled node).
+        """
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise ValueError(f"an arc references a node id outside [0, {n})")
         g = cls()
-        g._succ = [set() for _ in range(n)]
-        g._pred = [set() for _ in range(n)]
-        g._id_to_addr = [None] * n
+        loop = src == dst
+        g.self_loop_count = int(loop.sum())
+        keys, g._mult = np.unique(src[~loop] * n + dst[~loop], return_counts=True)
+        g._pair_submissions = len(src) - g.self_loop_count
+        g._csr = Csr(n, keys // n, keys % n)  # n > 0 whenever there are keys
+        g._id_to_addr = [None] * n if labels is None else list(labels)
+        if labels is not None:
+            g._addr_to_id = {a: v for v, a in enumerate(g._id_to_addr) if a is not None}
         return g
+
+    def _arrays(self) -> tuple["Csr", np.ndarray]:
+        """The Csr and multiplicities, after moving the buffer into them."""
+        if self._pending:
+            pairs = np.array([*self._pending], dtype=np.int64)
+            counts = np.fromiter(self._pending.values(), np.int64, len(self._pending))
+            fresh = DirectedGraph.from_arcs(self.node_count, np.repeat(pairs[:, 0], counts),
+                                            np.repeat(pairs[:, 1], counts))
+            self._csr, self._mult, self._pending = fresh._csr, fresh._mult, {}
+        elif self._csr.n != self.node_count:  # nodes were interned since
+            self._csr = Csr(self.node_count, self._csr.tails, self._csr.fwd_indices)
+        return self._csr, self._mult
 
     # -- nodes ------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return len(self._succ)
+        return len(self._id_to_addr)
 
     def intern_address(self, address: str) -> int:
         """Return the node id for `address`, assigning the next id if new."""
@@ -88,11 +110,9 @@ class DirectedGraph:
         node = self._addr_to_id.get(address)
         if node is not None:
             return node
-        node = len(self._succ)
+        node = len(self._id_to_addr)
         self._addr_to_id[address] = node
         self._id_to_addr.append(address)
-        self._succ.append(set())
-        self._pred.append(set())
         return node
 
     def address_of(self, node: int) -> Optional[str]:
@@ -109,7 +129,7 @@ class DirectedGraph:
 
     @property
     def arc_count(self) -> int:
-        return self._arc_count
+        return self._arrays()[0].m
 
     def add_arc(self, src: int, dst: int) -> AddArcResult:
         """Submit the ordered pair (src, dst).
@@ -124,42 +144,40 @@ class DirectedGraph:
             self.self_loop_count += 1
             return AddArcResult.SELF_LOOP_DISCARDED
         self._pair_submissions += 1
-        succ = self._succ[src]
-        if dst in succ:
-            key = (src, dst)
-            self._extra_multiplicity[key] = self._extra_multiplicity.get(key, 0) + 1
-            return AddArcResult.DUPLICATED
-        succ.add(dst)
-        self._pred[dst].add(src)
-        self._arc_count += 1
-        return AddArcResult.INSERTED
+        if not self._pending and self._csr.m:  # move the arrays' arcs to the buffer
+            self._pending = dict(zip(self.arcs(), self._mult.tolist()))
+        count = self._pending.get((src, dst), 0)
+        self._pending[(src, dst)] = count + 1
+        return AddArcResult.DUPLICATED if count else AddArcResult.INSERTED
 
     def add_interaction(self, sender: str, recipient: str) -> AddArcResult:
         """Intern both addresses and submit the sender -> recipient arc."""
         return self.add_arc(self.intern_address(sender), self.intern_address(recipient))
 
     def has_arc(self, src: int, dst: int) -> bool:
-        return dst in self._succ[src]
+        return self.multiplicity(src, dst) > 0
 
-    def successors(self, node: int) -> set[int]:
-        """Distinct successors of `node` (do not mutate)."""
-        return self._succ[node]
+    def successors(self, node: int) -> frozenset[int]:
+        """Distinct successors of `node`."""
+        csr = self._arrays()[0]
+        return frozenset(csr.fwd_indices[csr.fwd_indptr[node]:csr.fwd_indptr[node + 1]].tolist())
 
-    def predecessors(self, node: int) -> set[int]:
-        """Distinct predecessors of `node` (do not mutate)."""
-        return self._pred[node]
+    def predecessors(self, node: int) -> frozenset[int]:
+        """Distinct predecessors of `node`."""
+        csr = self._arrays()[0]
+        return frozenset(csr.rev_indices[csr.rev_indptr[node]:csr.rev_indptr[node + 1]].tolist())
 
     def arcs(self) -> Iterator[tuple[int, int]]:
-        """All arcs (unspecified order); sort when determinism matters."""
-        for src, succ in enumerate(self._succ):
-            for dst in succ:
-                yield src, dst
+        """All arcs, sorted by (tail, head)."""
+        csr = self._arrays()[0]
+        return zip(csr.tails.tolist(), csr.fwd_indices.tolist())
 
     def multiplicity(self, src: int, dst: int) -> int:
         """How many times the arc (src, dst) was submitted (0 if absent)."""
-        if dst not in self._succ[src]:
-            return 0
-        return 1 + self._extra_multiplicity.get((src, dst), 0)
+        csr, mult = self._arrays()
+        lo = csr.fwd_indptr[src]
+        hit = np.flatnonzero(csr.fwd_indices[lo:csr.fwd_indptr[src + 1]] == dst)
+        return int(mult[lo + hit[0]]) if len(hit) else 0
 
     @property
     def pair_submissions(self) -> int:
@@ -170,7 +188,7 @@ class DirectedGraph:
         """Fraction of arc submissions that hit an already existing arc."""
         if self._pair_submissions == 0:
             return 0.0
-        return (self._pair_submissions - self._arc_count) / self._pair_submissions
+        return (self._pair_submissions - self.arc_count) / self._pair_submissions
 
 
 @dataclass(frozen=True)
@@ -196,12 +214,14 @@ class Csr:
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
         """`src`/`dst`: distinct, loop-free arcs in any order."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         self.n, self.m = n, len(src)
-        fwd, rev = np.lexsort((dst, src)), np.lexsort((src, dst))
-        self.tails = src[fwd].astype(np.int64)
-        self.fwd_indptr = np.searchsorted(self.tails, np.arange(n + 1))
+        # the arcs are distinct, so sorting their keys has one result
+        fwd, rev = np.argsort(src * n + dst), np.argsort(dst * n + src)
+        self.tails = src[fwd]
+        self.fwd_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.tails, minlength=n))))
         self.fwd_indices = dst[fwd].astype(np.int32)
-        self.rev_indptr = np.searchsorted(dst[rev], np.arange(n + 1))
+        self.rev_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
         self.rev_indices = src[rev].astype(np.int32)
         self._labels: dict[str, np.ndarray] = {}
         self._parts: dict[tuple[str, int], tuple[Csr, np.ndarray]] = {}
@@ -233,21 +253,24 @@ class Csr:
         key = (kind, label)
         if key not in self._parts:
             mask = self.labels(kind) == label
-            new_id = np.cumsum(mask) - 1
-            keep = mask[self.tails] & mask[self.fwd_indices]
-            sub = Csr(int(mask.sum()), new_id[self.tails[keep]], new_id[self.fwd_indices[keep]])
-            self._parts[key] = (sub, np.flatnonzero(mask))
+            self._parts[key] = (Csr(*_masked_arcs(self, mask)), np.flatnonzero(mask))
         return self._parts[key]
+
+
+_NO_ARCS = np.empty(0, dtype=np.int64)
+
+
+def _masked_arcs(csr: Csr, mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Node count and arcs of the subgraph on the nodes `mask` selects,
+    renumbered in ascending original id."""
+    new_id = np.cumsum(mask) - 1
+    keep = mask[csr.tails] & mask[csr.fwd_indices]
+    return int(mask.sum()), new_id[csr.tails[keep]], new_id[csr.fwd_indices[keep]]
 
 
 def compiled(graph: Union[DirectedGraph, Csr]) -> Csr:
     """The Csr of `graph` (a Csr passes through unchanged)."""
-    if isinstance(graph, Csr):
-        return graph
-    n = graph.node_count
-    counts = np.fromiter(map(len, graph._succ), dtype=np.int64, count=n)
-    dst = np.fromiter(chain.from_iterable(graph._succ), dtype=np.int64, count=graph.arc_count)
-    return Csr(n, np.repeat(np.arange(n, dtype=np.int64), counts), dst)
+    return graph if isinstance(graph, Csr) else graph._arrays()[0]
 
 
 def _weak_labels(csr: Csr) -> np.ndarray:
@@ -343,16 +366,16 @@ def main_component(graph: Union[DirectedGraph, Csr], kind: str) -> Component:
 def undirected_projection(graph: DirectedGraph) -> DirectedGraph:
     """Symmetric closure: for every arc (a, b) ensure (b, a) exists too.
 
-    The node set and labels are preserved; multiplicity is not carried over
-    (the projection is an analysis artifact, not a transaction record).
+    The node set and labels are preserved. Each arc is submitted once in
+    each direction, so a mutual pair ends with multiplicity 2; the
+    original multiplicities are not carried over (the projection is an
+    analysis artifact, not a transaction record).
     """
-    out = DirectedGraph.with_node_count(graph.node_count)
-    out._addr_to_id = dict(graph._addr_to_id)
-    out._id_to_addr = list(graph._id_to_addr)
-    for src, dst in graph.arcs():
-        out.add_arc(src, dst)
-        out.add_arc(dst, src)
-    return out
+    csr = compiled(graph)
+    tails, heads = csr.tails, csr.fwd_indices.astype(np.int64)
+    return DirectedGraph.from_arcs(
+        csr.n, np.concatenate((tails, heads)), np.concatenate((heads, tails)), graph._id_to_addr
+    )
 
 
 def induced_subgraph(
@@ -365,15 +388,8 @@ def induced_subgraph(
     is deterministic.
     """
     original_ids = sorted(set(members))
-    remap = {old: new for new, old in enumerate(original_ids)}
-    sub = DirectedGraph.with_node_count(len(original_ids))
-    if graph.has_labels():
-        sub._id_to_addr = [graph.address_of(old) for old in original_ids]
-        sub._addr_to_id = {addr: new for new, addr in enumerate(sub._id_to_addr)}
-    for old in original_ids:
-        new_src = remap[old]
-        for dst in graph.successors(old):
-            new_dst = remap.get(dst)
-            if new_dst is not None:
-                sub.add_arc(new_src, new_dst)
-    return sub, original_ids
+    csr = compiled(graph)
+    mask = np.zeros(csr.n, dtype=bool)
+    mask[original_ids] = True
+    labels = [graph.address_of(v) for v in original_ids] if graph.has_labels() else None
+    return DirectedGraph.from_arcs(*_masked_arcs(csr, mask), labels), original_ids

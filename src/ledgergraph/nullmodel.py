@@ -57,11 +57,7 @@ class RandomGraphSpec:
 
 def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
     """Draw a random graph per `spec`, deterministically for a given seed."""
-    graph = DirectedGraph.with_node_count(spec.node_count)
-    src, dst = random_arcs(spec)
-    for u, v in zip(src.tolist(), dst.tolist()):
-        graph.add_arc(u, v)
-    return graph
+    return DirectedGraph.from_arcs(spec.node_count, *random_arcs(spec))
 
 
 def random_arcs(spec: RandomGraphSpec) -> tuple[np.ndarray, np.ndarray]:

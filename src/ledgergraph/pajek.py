@@ -12,15 +12,21 @@ of two 40-character hex strings. Only the subset we emit is supported:
     *Edges             (accepted on read; each line adds both directions)
     a b
 
-Files are UTF-8 with LF line endings. The writer orders arc lines
-lexicographically so output is byte-stable for a given graph.
+Files are UTF-8 with LF line endings. The writer emits the arc lines from
+the graph's forward CSR, sorted by (tail, head), so output is byte-stable
+for a given graph. The reader parses an arc block laid out that way with
+numpy; the lines before it, and any other document, go through a line
+parser, which also names the first bad line of a malformed document.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterator
+import io
+from typing import IO, Iterator, Optional
 
-from .graph import DirectedGraph
+import numpy as np
+
+from .graph import DirectedGraph, compiled
 
 
 class PajekParseError(ValueError):
@@ -50,13 +56,11 @@ def write_pajek(graph: DirectedGraph, stream: IO[str], include_labels: bool = Fa
                 raise ValueError(f"label {label!r} contains characters Pajek cannot quote")
             stream.write(f'{node + 1} "{label}"\n')
     stream.write("*Arcs\n")
-    for src, dst in sorted(graph.arcs()):
-        stream.write(f"{src + 1} {dst + 1}\n")
+    csr = compiled(graph)
+    stream.write(_arc_lines(np.column_stack((csr.tails, csr.fwd_indices)).ravel() + 1))
 
 
 def dumps(graph: DirectedGraph, include_labels: bool = False) -> str:
-    import io
-
     buf = io.StringIO()
     write_pajek(graph, buf, include_labels=include_labels)
     return buf.getvalue()
@@ -90,6 +94,36 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
     `*Edges` sections are treated as symmetric arcs. Raises
     PajekParseError (with the offending line number) on malformed input.
     """
+    text = stream.read()
+    head, marker, block = text.partition("\n*Arcs\n")
+    n, ends, labels = _read_lines(io.StringIO(head + marker))  # all of it if no marker
+    if marker:
+        ends = None if len(ends) else _arc_ends(block, n)
+        if ends is None:  # arcs before the block, or a block numpy cannot take
+            n, ends, labels = _read_lines(io.StringIO(text))
+    return DirectedGraph.from_arcs(n, ends[0::2] - 1, ends[1::2] - 1, labels)
+
+
+def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
+    """The 1-based endpoints of an arc block laid out exactly as
+    `write_pajek` lays one out, all in 1..n; None for any other block."""
+    if block.encode().translate(None, b"0123456789 \n"):
+        return None  # np.fromstring would stop at the first other character
+    ends = np.fromstring(block, dtype=np.int64, sep=" ")
+    if len(ends) % 2 or _arc_lines(ends) != block:
+        return None
+    return ends if not len(ends) or 1 <= ends.min() <= ends.max() <= n else None
+
+
+def _arc_lines(ends: np.ndarray) -> str:
+    """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2]."""
+    return ("%d %d\n" * (len(ends) // 2)) % tuple(ends.tolist())
+
+
+def _read_lines(stream: IO[str]) -> tuple[int, np.ndarray, Optional[list[str]]]:
+    """Node count, 1-based arc endpoints and labels of any document of the
+    subset, parsed line by line; raises PajekParseError at the first bad
+    line."""
     lines: Iterator[tuple[int, str]] = (
         (i, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(stream, start=1)
     )
@@ -104,24 +138,25 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
     if n < 0:
         raise PajekParseError(f"vertex count must be >= 0, got {n}", lineno)
 
-    graph = DirectedGraph.with_node_count(n)
     labels: dict[int, str] = {}
+    ordered: Optional[list[str]] = None
+    ends: list[int] = []
     section = "vertices"
 
-    def apply_labels() -> None:
+    def apply_labels() -> Optional[list[str]]:
         if not labels:
-            return
+            return None
         if len(labels) != n or set(labels) != set(range(1, n + 1)):
             raise PajekParseError(
                 f"labels must cover vertices 1..{n} exactly once, got {len(labels)} labels",
                 lineno,
             )
+        seen: set[str] = set()
         for index in range(1, n + 1):
-            label = labels[index]
-            if label in graph._addr_to_id:
-                raise PajekParseError(f"duplicate label {label!r}", lineno)
-            graph._id_to_addr[index - 1] = label
-            graph._addr_to_id[label] = index - 1
+            if labels[index] in seen:
+                raise PajekParseError(f"duplicate label {labels[index]!r}", lineno)
+            seen.add(labels[index])
+        return [labels[index] for index in range(1, n + 1)]
 
     for lineno, line in lines:
         stripped = line.strip()
@@ -129,16 +164,11 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
             continue
         if stripped.startswith("*"):
             keyword = stripped.split()[0].lower()
-            if keyword == "*arcs":
-                if section == "vertices":
-                    apply_labels()
-                section = "arcs"
-            elif keyword == "*edges":
-                if section == "vertices":
-                    apply_labels()
-                section = "edges"
-            else:
+            if keyword not in ("*arcs", "*edges"):
                 raise PajekParseError(f"unsupported section {stripped!r}", lineno)
+            if section == "vertices":
+                ordered = apply_labels()
+            section = keyword[1:]
             continue
         if section == "vertices":
             index, label = _parse_label_line(stripped, lineno)
@@ -155,19 +185,15 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
             b = _parse_int(parts[1], "arc endpoint", lineno)
             if not (1 <= a <= n and 1 <= b <= n):
                 raise PajekParseError("index out of range", lineno)
-            graph.add_arc(a - 1, b - 1)
-            if section == "edges" and a != b:
-                graph.add_arc(b - 1, a - 1)
+            ends += (a, b, b, a) if section == "edges" and a != b else (a, b)
 
     if section == "vertices":
-        apply_labels()
+        ordered = apply_labels()
         if n > 0 or labels:
             # a well-formed document always carries an *Arcs or *Edges marker
             raise PajekParseError("missing '*Arcs' or '*Edges' section", lineno)
-    return graph
+    return n, np.array(ends, dtype=np.int64), ordered
 
 
 def loads(text: str) -> DirectedGraph:
-    import io
-
     return read_pajek(io.StringIO(text))

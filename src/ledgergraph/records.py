@@ -6,13 +6,17 @@ JSON object per line with exactly these fields:
 
     {"ledger": "...", "senders": [...], "recipients": [...],
      "timestamp": <unix seconds>, "tx_kind": "..."}
+
+The strict and lenient dump readers share one line loop. `build_graph`
+interns addresses into node ids and hands every arc submission to
+`DirectedGraph.from_arcs` at once, so no arc is added one at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Optional
 
 from .graph import DirectedGraph
 
@@ -103,19 +107,28 @@ def write_dump(records: Iterable[TransactionRecord], stream: IO[str]) -> int:
     return count
 
 
-def read_dump(stream: IO[str]) -> Iterator[TransactionRecord]:
-    """Strict dump reader: any bad line raises."""
+def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[TransactionRecord]]:
+    """Records of a dump in file order, or None for each line that is not
+    valid JSON when not `strict`. A schema violation always raises."""
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise RecordSchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from None
+            if strict:
+                raise RecordSchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from None
+            yield None
+            continue
         try:
             yield record_from_json_dict(obj)
         except RecordSchemaError as exc:
             raise RecordSchemaError(f"line {lineno}: {exc}") from None
+
+
+def read_dump(stream: IO[str]) -> Iterator[TransactionRecord]:
+    """Strict dump reader: any bad line raises."""
+    return _read_lines(stream, strict=True)  # type: ignore[return-value]
 
 
 def read_dump_lenient(stream: IO[str]) -> tuple[list[TransactionRecord], int]:
@@ -126,21 +139,9 @@ def read_dump_lenient(stream: IO[str]) -> tuple[list[TransactionRecord], int]:
     raise, because they mean the file is not a dump of this format.
     Returns (records, skipped_line_count).
     """
-    records: list[TransactionRecord] = []
-    skipped = 0
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        try:
-            records.append(record_from_json_dict(obj))
-        except RecordSchemaError as exc:
-            raise RecordSchemaError(f"line {lineno}: {exc}") from None
-    return records, skipped
+    records = list(_read_lines(stream, strict=False))
+    kept = [r for r in records if r is not None]
+    return kept, len(records) - len(kept)
 
 
 def _dedupe(addresses: tuple[str, ...]) -> list[str]:
@@ -196,17 +197,23 @@ def build_graph(
 ) -> tuple[DirectedGraph, IngestionStats]:
     """Build the interaction graph from a record stream.
 
-    One node per distinct address that appears in a mapped edge; one arc per
-    distinct sender->recipient pair. The arc set is independent of record
-    order (node ids are not).
+    One node per distinct address that appears in a mapped edge, numbered
+    in first-seen order (sender before recipient); one arc per distinct
+    sender->recipient pair. The arc set is independent of record order
+    (node ids are not).
     """
-    graph = DirectedGraph()
     stats = IngestionStats(skipped_records=skipped_records)
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    src: list[int] = []
+    dst: list[int] = []
     for record in records:
         stats.transactions += 1
         for sender, recipient in map_to_edges(record):
-            stats.binary_connections += 1
-            graph.add_interaction(sender, recipient)
+            src.append(intern(sender, len(ids)))
+            dst.append(intern(recipient, len(ids)))
+    graph = DirectedGraph.from_arcs(len(ids), src, dst, labels=list(ids))
+    stats.binary_connections = len(src)
     stats.unique_arcs = graph.arc_count
     stats.self_loops = graph.self_loop_count
     stats.edge_reuse_ratio = graph.edge_reuse_ratio()

@@ -304,3 +304,55 @@ def test_report_rejects_other_json(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"hello": 1}')
     assert main(["report", "--in", str(path)]) == 3
+
+
+def _assert_clean_failure(capsys, command, code, expected):
+    assert code == expected
+    err = capsys.readouterr().err
+    assert err.startswith(f"ledgergraph {command}: ") and "Traceback" not in err
+    assert "missing" in err
+
+
+def test_build_out_in_missing_directory_exits_three(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    out = tmp_path / "missing" / "g.net"
+    code = main(["build", "--in", str(dump), "--out", str(out)])
+    _assert_clean_failure(capsys, "build", code, 3)
+
+
+def test_analyze_out_in_missing_directory_exits_three(tmp_path, capsys):
+    net = tmp_path / "triangle.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    code = main(["analyze", "--in", str(net), "--out", str(tmp_path / "missing" / "r.json")])
+    _assert_clean_failure(capsys, "analyze", code, 3)
+
+
+def test_compare_out_in_missing_directory_fails_before_work(tmp_path, capsys, monkeypatch):
+    net = tmp_path / "triangle.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare ran before checking its output directory")
+
+    monkeypatch.setattr("ledgergraph.cli.small_world_compare", no_work)
+    code = main(["compare", "--in", str(net), "--out", str(tmp_path / "missing" / "c.json")])
+    _assert_clean_failure(capsys, "compare", code, 3)
+
+
+def test_fetch_out_in_missing_directory_exits_two(tmp_path, capsys):
+    dump = tmp_path / "all.ndjson"
+    write_fixture_dump(dump, count=20)
+    code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+                 "--out", str(tmp_path / "missing" / "w.ndjson"), "--in", str(dump)])
+    _assert_clean_failure(capsys, "fetch", code, 2)
+
+
+def test_unwritable_stats_sidecar_exits_three(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    out = tmp_path / "g.net"
+    (tmp_path / "g.net.stats.json").mkdir()  # a directory where the sidecar goes
+    assert main(["build", "--in", str(dump), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ledgergraph build: ") and "g.net.stats.json" in err

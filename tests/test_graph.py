@@ -5,6 +5,7 @@ import pytest
 from ledgergraph.graph import (
     AddArcResult,
     DirectedGraph,
+    compiled,
     induced_subgraph,
     main_component,
     strongly_connected_components,
@@ -239,3 +240,73 @@ class TestProjectionAndSubgraph:
         g.add_interaction("b", "c")
         sub, original = induced_subgraph(g, {1, 2})
         assert [sub.address_of(i) for i in range(2)] == ["b", "c"]
+
+
+def one_at_a_time(n, src, dst):
+    g = DirectedGraph.with_node_count(n)
+    results = [g.add_arc(a, b) for a, b in zip(src, dst)]
+    return g, results
+
+
+def same_graph(a, b):
+    assert (a.node_count, a.arc_count, a.pair_submissions, a.self_loop_count) == (
+        b.node_count, b.arc_count, b.pair_submissions, b.self_loop_count)
+    assert list(a.arcs()) == list(b.arcs())
+    assert [a.multiplicity(s, d) for s, d in a.arcs()] == [b.multiplicity(s, d) for s, d in b.arcs()]
+    assert a.edge_reuse_ratio() == b.edge_reuse_ratio()
+    for v in range(a.node_count):
+        assert a.successors(v) == b.successors(v) and a.predecessors(v) == b.predecessors(v)
+
+
+class TestBulkConstruction:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_from_arcs_counts_as_add_arc_does(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 15)
+        src = [rng.randrange(n) for _ in range(300)]
+        dst = [rng.randrange(n) for _ in range(300)]
+        same_graph(DirectedGraph.from_arcs(n, src, dst), one_at_a_time(n, src, dst)[0])
+
+    def test_from_arcs_keeps_labels(self):
+        g = DirectedGraph.from_arcs(3, [0, 2], [1, 1], labels=["a", None, "c"])
+        assert [g.address_of(v) for v in range(3)] == ["a", None, "c"]
+        assert g.node_of("c") == 2 and not g.has_labels()
+
+    def test_from_arcs_rejects_ids_out_of_range(self):
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arcs(2, [0], [2])
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arcs(2, [-1], [0])
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arcs(-1, [], [])
+
+    def test_bulk_graph_reads_its_arrays_without_a_buffer(self):
+        g = DirectedGraph.from_arcs(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
+        held = compiled(g)
+        assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0)]
+        assert g.multiplicity(0, 1) == 2 and g.has_arc(1, 2) and not g.has_arc(2, 1)
+        assert g.successors(0) == {1} and g.predecessors(0) == {2}
+        assert compiled(g) is held and g._pending == {}
+
+    def test_add_after_read(self):
+        g = DirectedGraph()
+        assert g.add_interaction("a", "b") is AddArcResult.INSERTED
+        assert list(g.arcs()) == [(0, 1)]
+        assert g.add_interaction("b", "c") is AddArcResult.INSERTED  # a node new since the read
+        assert g.add_interaction("a", "b") is AddArcResult.DUPLICATED
+        assert g.add_interaction("c", "c") is AddArcResult.SELF_LOOP_DISCARDED
+        assert (g.node_count, g.arc_count, g.multiplicity(0, 1)) == (3, 2, 2)
+        assert g.successors(1) == {2} and g.edge_reuse_ratio() == 1 / 3
+        g.intern_address("d")
+        assert g.node_count == 4 and g.successors(3) == frozenset()
+
+    def test_add_to_bulk_graph(self):
+        g = DirectedGraph.from_arcs(3, [0, 0], [1, 1])
+        assert g.add_arc(0, 1) is AddArcResult.DUPLICATED
+        assert g.add_arc(2, 0) is AddArcResult.INSERTED
+        same_graph(g, one_at_a_time(3, [0, 0, 0, 2], [1, 1, 1, 0])[0])
+
+    def test_projection_submits_each_arc_both_ways(self):
+        p = undirected_projection(graph_from([(0, 1), (1, 0), (1, 2)]))
+        assert [p.multiplicity(a, b) for a, b in p.arcs()] == [2, 2, 1, 1]
+        assert (p.pair_submissions, p.edge_reuse_ratio()) == (6, 2 / 6)

@@ -140,6 +140,9 @@ MALFORMED = [
     ("*Vertices 2\n*Arcs\n1 1.5\n", "expected integer arc endpoint, got '1.5', line 3", 3),
     ("*Vertices 3\n*Arcs\n1 2\n1 2 3\n", "arc line must be '<src> <dst>', got '1 2 3', line 4", 4),
     ("*Vertices 2\n*Arcs\n1\n", "arc line must be '<src> <dst>', got '1', line 3", 3),
+    # a 3-token and a 1-token line hold an even number of tokens together
+    ("*Vertices 3\n*Arcs\n1 2 3\n1\n", "arc line must be '<src> <dst>', got '1 2 3', line 3", 3),
+    ("*Vertices 3\n*Arcs\n2 3\n1\n2 3 1\n", "arc line must be '<src> <dst>', got '1', line 4", 4),
     ("*Vertices 2\n*Arcs\n0 1\n", "index out of range, line 3", 3),
     ("*Vertices 2\n*Arcs\n1 2\n2 3\n", "index out of range, line 4", 4),
     ("*Vertices 2\n*Arcs\n-1 2\n", "index out of range, line 3", 3),
