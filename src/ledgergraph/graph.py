@@ -74,6 +74,8 @@ class DirectedGraph:
         src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
         if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError(f"an arc references a node id outside [0, {n})")
+        if labels is not None and len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} nodes")
         g = cls()
         loop = src == dst
         g.self_loop_count = int(loop.sum())

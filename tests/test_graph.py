@@ -279,6 +279,8 @@ class TestBulkConstruction:
             DirectedGraph.from_arcs(2, [-1], [0])
         with pytest.raises(ValueError):
             DirectedGraph.from_arcs(-1, [], [])
+        with pytest.raises(ValueError):
+            DirectedGraph.from_arcs(2, [0], [1], labels=["a"])
 
     def test_bulk_graph_reads_its_arrays_without_a_buffer(self):
         g = DirectedGraph.from_arcs(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
