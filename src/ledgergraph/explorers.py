@@ -99,7 +99,18 @@ def parse_bitcoin_tx(tx: object, block_time: Optional[int]) -> Optional[Transact
         if addr:
             senders.append(addr)
     recipients = [o["addr"] for o in tx.get("out", []) if isinstance(o, dict) and o.get("addr")]
-    return _utxo_record("bitcoin", tx, block_time, senders, recipients)
+    if not senders or not recipients:
+        return None
+    when = tx.get("time", block_time)
+    if when is None:
+        raise PayloadError("transaction has no time and no block time was given")
+    return TransactionRecord(
+        ledger="bitcoin",
+        senders=tuple(senders),
+        recipients=tuple(recipients),
+        timestamp=_as_timestamp(when, "tx time"),
+        tx_kind="transfer",
+    )
 
 
 def parse_dogecoin_tx(tx: object, block_time: Optional[int]) -> Optional[TransactionRecord]:
@@ -112,18 +123,18 @@ def parse_dogecoin_tx(tx: object, block_time: Optional[int]) -> Optional[Transac
     recipients = [
         o["address"] for o in tx.get("outputs", []) if isinstance(o, dict) and o.get("address")
     ]
-    return _utxo_record("dogecoin", tx, block_time, senders, recipients)
-
-
-def _utxo_record(ledger: str, tx: dict, block_time: Optional[int], senders: list,
-                 recipients: list) -> Optional[TransactionRecord]:
     if not senders or not recipients:
         return None
     when = tx.get("time", block_time)
     if when is None:
         raise PayloadError("transaction has no time and no block time was given")
-    return TransactionRecord(ledger, tuple(senders), tuple(recipients),
-                             _as_timestamp(when, "tx time"), "transfer")
+    return TransactionRecord(
+        ledger="dogecoin",
+        senders=tuple(senders),
+        recipients=tuple(recipients),
+        timestamp=_as_timestamp(when, "tx time"),
+        tx_kind="transfer",
+    )
 
 
 def parse_ethereum_tx(

@@ -28,6 +28,8 @@ import numpy as np
 
 from .graph import DirectedGraph, compiled
 
+_LINE_CHUNK = 1 << 16  # arc endpoints rendered per string
+
 
 class PajekParseError(ValueError):
     """Malformed Pajek input; `line` is 1-based."""
@@ -57,7 +59,7 @@ def write_pajek(graph: DirectedGraph, stream: IO[str], include_labels: bool = Fa
             stream.write(f'{node + 1} "{label}"\n')
     stream.write("*Arcs\n")
     csr = compiled(graph)
-    stream.write(_arc_lines(np.column_stack((csr.tails, csr.fwd_indices)).ravel() + 1))
+    stream.writelines(_arc_lines(np.column_stack((csr.tails, csr.fwd_indices)).ravel() + 1))
 
 
 def dumps(graph: DirectedGraph, include_labels: bool = False) -> str:
@@ -101,6 +103,7 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
         ends = None if len(ends) else _arc_ends(block, n)
         if ends is None:  # arcs before the block, or a block numpy cannot take
             n, ends, labels = _read_lines(io.StringIO(text))
+    del text, block  # the document is not needed while the graph is built
     return DirectedGraph.from_arcs(n, ends[0::2] - 1, ends[1::2] - 1, labels)
 
 
@@ -110,14 +113,17 @@ def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
     if block.encode().translate(None, b"0123456789 \n"):
         return None  # np.fromstring would stop at the first other character
     ends = np.fromstring(block, dtype=np.int64, sep=" ")
-    if len(ends) % 2 or _arc_lines(ends) != block:
+    if len(ends) % 2 or "".join(_arc_lines(ends)) != block:
         return None
     return ends if not len(ends) or 1 <= ends.min() <= ends.max() <= n else None
 
 
-def _arc_lines(ends: np.ndarray) -> str:
-    """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2]."""
-    return ("%d %d\n" * (len(ends) // 2)) % tuple(ends.tolist())
+def _arc_lines(ends: np.ndarray) -> Iterator[str]:
+    """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2], a
+    bounded number at a time, so few endpoints are Python ints at once."""
+    for start in range(0, len(ends), _LINE_CHUNK):
+        part = ends[start:start + _LINE_CHUNK].tolist()
+        yield ("%d %d\n" * (len(part) // 2)) % tuple(part)
 
 
 def _read_lines(stream: IO[str]) -> tuple[int, np.ndarray, Optional[list[str]]]:
