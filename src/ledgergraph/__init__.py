@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .graph import (
-    AddArcResult,
     Component,
     DirectedGraph,
     induced_subgraph,
@@ -51,7 +50,6 @@ from .fetch import (
 )
 
 __all__ = [
-    "AddArcResult",
     "BackoffPolicy",
     "Component",
     "DegreeHistogram",

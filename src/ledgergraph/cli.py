@@ -230,7 +230,11 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
         return None
     with open(path, encoding="utf-8") as fh:
         stats = json.load(fh)
+    if not isinstance(stats, dict):
+        raise ValueError(f"{path}: stats must be a JSON object")
     value = stats.get("edge_reuse_ratio")
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"{path}: edge_reuse_ratio must be a number, got {value!r}")
     return float(value) if value is not None else None
 
 
@@ -283,10 +287,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             graph, plan, seed=args.seed, hub_count=args.hubs, workers=args.workers,
             edge_reuse_ratio=_stats_edge_reuse(args.stats),
         )
-        for phase, seconds in (report.timings or {}).items():
-            log.info("%s: %.2fs", phase, seconds)
-        # timings stay out of the file so reports are byte-stable across runs
-        _write_text(args.out, _json_bytes(report.to_json_dict(include_timings=False)))
+        _write_text(args.out, _json_bytes(report.to_json_dict()))
     except (pajek.PajekParseError, ValueError, OSError) as exc:
         print(f"ledgergraph compare: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -317,29 +318,34 @@ def _format_metrics(doc: dict, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"ledgergraph report: {exc}", file=sys.stderr)
-        return EXIT_DATA
+def _format_report(doc: dict) -> str:
     if "sigma" in doc:
-        print("real graph:")
-        print(_format_metrics(doc["real"], "  "))
+        lines = ["real graph:", _format_metrics(doc["real"], "  ")]
         if doc.get("random"):
-            print("random graph:")
-            print(_format_metrics(doc["random"], "  "))
+            lines += ["random graph:", _format_metrics(doc["random"], "  ")]
         for name in ("acc_ratio", "aspl_ratio", "sigma"):
             value = doc.get(name)
             shown = f"{value:.6g}" if value is not None else \
                 f"undefined ({doc.get('undefined', {}).get(name, 'n/a')})"
-            print(f"{name:10s} {shown}")
-    elif "graph_acc" in doc:
-        print(_format_metrics(doc))
-    else:
-        print("ledgergraph report: unrecognized report document", file=sys.stderr)
+            lines.append(f"{name:10s} {shown}")
+        return "\n".join(lines)
+    if "graph_acc" in doc:
+        return _format_metrics(doc)
+    raise ValueError("unrecognized report document")
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    try:
+        with open(args.report, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        text = _format_report(doc)
+    except (OSError, ValueError) as exc:  # ValueError includes a JSON syntax error
+        print(f"ledgergraph report: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (KeyError, TypeError, AttributeError) as exc:  # a field missing or of the wrong type
+        print(f"ledgergraph report: malformed report document: {exc!r}", file=sys.stderr)
+        return EXIT_DATA
+    print(text)
     return EXIT_OK
 
 

@@ -83,8 +83,30 @@ def tx_hash(tx: dict, ledger: str) -> str:
     return value
 
 
-def parse_bitcoin_tx(tx: object, block_time: Optional[int]) -> Optional[TransactionRecord]:
-    """blockchain.info shape: inputs[].prev_out.addr and out[].addr.
+# where each UTXO explorer keeps the addresses: the list, then the path in an item
+_UTXO_ADDRESSES = {
+    "bitcoin": (("inputs", "prev_out", "addr"), ("out", "addr")),  # blockchain.info
+    "dogecoin": (("inputs", "address"), ("outputs", "address")),  # SoChain
+}
+
+
+def _addresses(tx: dict, key: str, *path: str) -> list:
+    """The non-empty value at `path` in each object of the list tx[key]."""
+    found = []
+    for item in tx.get(key, []):
+        for step in path:
+            item = item.get(step) if isinstance(item, dict) else None
+        if item:
+            found.append(item)
+    return found
+
+
+def parse_bitcoin_tx(
+    tx: object, block_time: Optional[int], ledger: str = "bitcoin"
+) -> Optional[TransactionRecord]:
+    """UTXO shapes: blockchain.info (bitcoin) with inputs[].prev_out.addr
+    and out[].addr, SoChain (dogecoin) with inputs[].address and
+    outputs[].address.
 
     Coinbase transactions (no spendable input address) and fully
     non-standard outputs have no sender/recipient to map; those return
@@ -92,44 +114,15 @@ def parse_bitcoin_tx(tx: object, block_time: Optional[int]) -> Optional[Transact
     """
     if not isinstance(tx, dict):
         raise PayloadError("transaction must be a JSON object")
-    senders = []
-    for inp in tx.get("inputs", []):
-        prev = inp.get("prev_out") if isinstance(inp, dict) else None
-        addr = prev.get("addr") if isinstance(prev, dict) else None
-        if addr:
-            senders.append(addr)
-    recipients = [o["addr"] for o in tx.get("out", []) if isinstance(o, dict) and o.get("addr")]
+    inputs, outputs = _UTXO_ADDRESSES[ledger]
+    senders, recipients = _addresses(tx, *inputs), _addresses(tx, *outputs)
     if not senders or not recipients:
         return None
     when = tx.get("time", block_time)
     if when is None:
         raise PayloadError("transaction has no time and no block time was given")
     return TransactionRecord(
-        ledger="bitcoin",
-        senders=tuple(senders),
-        recipients=tuple(recipients),
-        timestamp=_as_timestamp(when, "tx time"),
-        tx_kind="transfer",
-    )
-
-
-def parse_dogecoin_tx(tx: object, block_time: Optional[int]) -> Optional[TransactionRecord]:
-    """SoChain shape: inputs[].address and outputs[].address."""
-    if not isinstance(tx, dict):
-        raise PayloadError("transaction must be a JSON object")
-    senders = [
-        i["address"] for i in tx.get("inputs", []) if isinstance(i, dict) and i.get("address")
-    ]
-    recipients = [
-        o["address"] for o in tx.get("outputs", []) if isinstance(o, dict) and o.get("address")
-    ]
-    if not senders or not recipients:
-        return None
-    when = tx.get("time", block_time)
-    if when is None:
-        raise PayloadError("transaction has no time and no block time was given")
-    return TransactionRecord(
-        ledger="dogecoin",
+        ledger=ledger,
         senders=tuple(senders),
         recipients=tuple(recipients),
         timestamp=_as_timestamp(when, "tx time"),
@@ -201,10 +194,8 @@ def parse_ripple_tx(tx: object) -> TransactionRecord:
 def parse_block_tx(
     ledger: str, tx: object, block_time: Optional[int]
 ) -> Optional[TransactionRecord]:
-    if ledger == "bitcoin":
-        return parse_bitcoin_tx(tx, block_time)
-    if ledger == "dogecoin":
-        return parse_dogecoin_tx(tx, block_time)
+    if ledger in _UTXO_ADDRESSES:
+        return parse_bitcoin_tx(tx, block_time, ledger)
     if ledger in ("ethereum", "ethereum_internal"):
         return parse_ethereum_tx(tx, block_time, ledger)
     raise ValueError(f"{ledger!r} is not a block-oriented ledger")

@@ -1,9 +1,8 @@
 """Graph analysis suite: degrees, clustering, shortest paths, load.
 
-Every metric reads one compiled `graph.Csr`. `build_metrics_report`
-compiles the graph once, so its metrics share the arrays, the component
-labels and the main component's sub-CSR; a public function handed a
-DirectedGraph compiles it itself.
+Every metric reads a `graph.Csr`, and a DirectedGraph is one. The metrics
+`build_metrics_report` runs on one graph share the component labels and
+the main component's sub-CSR, which the Csr computes once and keeps.
 
 - Degrees come from the row pointers, mutual pairs from a binary search
   over the sorted arc keys.
@@ -38,13 +37,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .graph import Csr, DirectedGraph, compiled
-
-Graph = Union[DirectedGraph, Csr]
+from .graph import Csr
 
 _BITS = 64  # BFS sources per bitset batch
 _PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
@@ -84,22 +81,21 @@ class DegreeHistogram:
     max_hubs: list[tuple[int, int]]
 
 
-def degree_distribution(graph: Graph, hub_count: int = 10) -> DegreeHistogram:
+def degree_distribution(graph: Csr, hub_count: int = 10) -> DegreeHistogram:
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
-    csr = compiled(graph)
-    in_deg, out_deg = np.diff(csr.rev_indptr), np.diff(csr.fwd_indptr)
+    in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
     # mutual pairs: arcs whose reverse is among the sorted (tail, head) keys
-    heads = csr.fwd_indices.astype(np.int64)
-    keys = csr.tails * csr.n + heads
-    back = heads * csr.n + csr.tails
-    mutual = keys[np.minimum(np.searchsorted(keys, back), csr.m - 1)] == back
-    total_deg = in_deg + out_deg - np.bincount(csr.tails[mutual], minlength=csr.n)
+    heads = graph.fwd_indices.astype(np.int64)
+    keys = graph.tails * graph.n + heads
+    back = heads * graph.n + graph.tails
+    mutual = keys[np.minimum(np.searchsorted(keys, back), graph.m - 1)] == back
+    total_deg = in_deg + out_deg - np.bincount(graph.tails[mutual], minlength=graph.n)
 
     def table(deg: np.ndarray) -> dict[int, int]:
         return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}
 
-    order = np.lexsort((np.arange(csr.n), -total_deg))[:hub_count]
+    order = np.lexsort((np.arange(graph.n), -total_deg))[:hub_count]
     hubs = [(int(v), int(total_deg[v])) for v in order]
     return DegreeHistogram(table(in_deg), table(out_deg), table(total_deg), hubs)
 
@@ -163,18 +159,18 @@ def _ordered_mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 
-def clustering_coefficient(graph: Graph, node: int, directed: bool = False) -> float:
+def clustering_coefficient(graph: Csr, node: int, directed: bool = False) -> float:
     """Fraction of this node's neighbor pairs that are themselves linked.
 
     Neighbors are the distinct in- and out-neighbors. By default linkage is
     checked without orientation; `directed=True` counts ordered arcs among
     the neighbors against k*(k-1) instead.
     """
-    return float(_local_clustering(compiled(graph), directed)[node])
+    return float(_local_clustering(graph, directed)[node])
 
 
 def average_clustering(
-    graph: Graph,
+    graph: Csr,
     nodes: Optional[Iterable[int]] = None,
     directed: bool = False,
 ) -> float:
@@ -183,7 +179,7 @@ def average_clustering(
     Nodes with fewer than two neighbors contribute 0 and stay in the
     average.
     """
-    local = _local_clustering(compiled(graph), directed)
+    local = _local_clustering(graph, directed)
     if nodes is not None:
         local = local[np.fromiter(nodes, dtype=np.int64)]
     return _ordered_mean(local)
@@ -265,7 +261,7 @@ def _batch_pair_sums(
     return total, pairs
 
 
-def aspl(graph: Graph, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
+def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
     """Average shortest path length over the sampled main component.
 
     Draws ceil(fraction * |main|) distinct nodes (seeded) and averages the
@@ -273,7 +269,7 @@ def aspl(graph: Graph, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
     unreachable pairs. Returns (aspl, ordered pairs averaged).
     """
     kind = "weak" if plan.component == "weak_main" else "strong"
-    sub, _ = compiled(graph).component(kind)
+    sub, _ = graph.component(kind)
     if plan.treat_as_undirected:
         sub = sub.symmetric()
     n = sub.n
@@ -369,7 +365,7 @@ def _betweenness(csr: Csr, workers: int) -> np.ndarray:
     return sum(_run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers), np.zeros(csr.n))
 
 
-def load_centrality(graph: Graph, nodes: Sequence[int], workers: int = 1) -> list[float]:
+def load_centrality(graph: Csr, nodes: Sequence[int], workers: int = 1) -> list[float]:
     """Fraction of shortest paths between other nodes passing through each node.
 
     Paths are directed; equal-length alternatives split the credit. Each
@@ -377,11 +373,10 @@ def load_centrality(graph: Graph, nodes: Sequence[int], workers: int = 1) -> lis
     normalized by (n-1)(n-2) with n the component size, which puts the hub
     of a star at exactly 1. Nodes in components smaller than 3 score 0.
     """
-    csr = compiled(graph)
-    labels = csr.labels("weak")
+    labels = graph.labels("weak")
     out: dict[int, float] = {}
     for label in set(labels[list(nodes)].tolist()):
-        sub, original = csr.component("weak", label)
+        sub, original = graph.component("weak", label)
         cb = _betweenness(sub, workers)  # all 0 below 3 nodes: no path has an inner node
         norm = max((sub.n - 1) * (sub.n - 2), 1)
         for v in nodes:
@@ -429,27 +424,26 @@ class MetricsReport:
 
 
 def build_metrics_report(
-    graph: Graph,
+    graph: Csr,
     plan: SamplePlan,
     hub_count: int = 10,
     workers: int = 1,
     edge_reuse_ratio: Optional[float] = None,
 ) -> MetricsReport:
-    """Run the full analysis suite on one graph, compiled once.
+    """Run the full analysis suite on one graph.
 
     `edge_reuse_ratio` can be supplied from ingestion stats when the graph
     was loaded from Pajek (the format does not keep multiplicities); it
-    must be supplied for a Csr, which keeps none either.
+    must be supplied for a plain Csr, which keeps none either.
     """
-    csr = compiled(graph)
-    n = csr.n
+    n = graph.n
     if n == 0:
         raise ValueError("cannot analyze an empty graph")
-    hist = degree_distribution(csr, hub_count=hub_count)
-    local = _local_clustering(csr)
+    hist = degree_distribution(graph, hub_count=hub_count)
+    local = _local_clustering(graph)
     graph_acc = _ordered_mean(local)
 
-    main_size = {k: int(np.bincount(csr.labels(k)).max()) for k in ("weak", "strong")}
+    main_size = {k: int(np.bincount(graph.labels(k)).max()) for k in ("weak", "strong")}
     component_sizes = {
         "nodes": n,
         "weak_main": {"size": main_size["weak"], "fraction": main_size["weak"] / n},
@@ -461,14 +455,14 @@ def build_metrics_report(
         raise ValueError(
             f"{plan.component} has {main_size[kind]} node(s); nothing to average paths over"
         )
-    sub, original = csr.component(kind)
+    sub, original = graph.component(kind)
     # a weak component keeps every neighbor of its nodes, a strong one may not
     main_acc = _ordered_mean(local[original] if kind == "weak" else _local_clustering(sub))
-    aspl_value, pairs = aspl(csr, plan, workers=workers)
+    aspl_value, pairs = aspl(graph, plan, workers=workers)
     sample_size = math.ceil(plan.fraction * main_size[kind])
 
     hub_ids = [v for v, _ in hist.max_hubs]
-    loads = load_centrality(csr, hub_ids, workers=workers)
+    loads = load_centrality(graph, hub_ids, workers=workers)
     hub_load = [(deg, load) for (_, deg), load in zip(hist.max_hubs, loads)]
 
     return MetricsReport(

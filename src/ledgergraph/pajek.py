@@ -26,7 +26,7 @@ from typing import IO, Iterator, Optional
 
 import numpy as np
 
-from .graph import DirectedGraph, compiled
+from .graph import DirectedGraph
 
 _LINE_CHUNK = 1 << 16  # arc endpoints rendered per string
 
@@ -58,8 +58,7 @@ def write_pajek(graph: DirectedGraph, stream: IO[str], include_labels: bool = Fa
                 raise ValueError(f"label {label!r} contains characters Pajek cannot quote")
             stream.write(f'{node + 1} "{label}"\n')
     stream.write("*Arcs\n")
-    csr = compiled(graph)
-    stream.writelines(_arc_lines(np.column_stack((csr.tails, csr.fwd_indices)).ravel() + 1))
+    stream.writelines(_arc_lines(np.column_stack((graph.tails, graph.fwd_indices)).ravel() + 1))
 
 
 def dumps(graph: DirectedGraph, include_labels: bool = False) -> str:

@@ -7,17 +7,19 @@ import random
 from ledgergraph.graph import DirectedGraph
 
 
+def graph_from(arcs, n=None, labels=None) -> DirectedGraph:
+    """The graph that submits each (src, dst) of `arcs` once; `n` defaults
+    to one more than the highest node id."""
+    arcs = list(arcs)
+    n = n if n is not None else (max((max(a, b) for a, b in arcs), default=-1) + 1)
+    return DirectedGraph.from_arcs(n, [a for a, _ in arcs], [b for _, b in arcs], labels)
+
+
 def random_digraph(n: int, m: int, seed: int, labels: bool = False) -> DirectedGraph:
     """Uniform random simple digraph with exactly m arcs (needs m <= n(n-1))."""
     if m > n * (n - 1):
         raise ValueError("too many arcs requested")
     rng = random.Random(seed)
-    g = DirectedGraph.with_node_count(0)
-    if labels:
-        for v in range(n):
-            g.intern_address(f"addr{v:05d}")
-    else:
-        g = DirectedGraph.with_node_count(n)
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
         a = rng.randrange(n)
@@ -25,8 +27,8 @@ def random_digraph(n: int, m: int, seed: int, labels: bool = False) -> DirectedG
         if a == b or (a, b) in chosen:
             continue
         chosen.add((a, b))
-        g.add_arc(a, b)
-    return g
+    names = [f"addr{v:05d}" for v in range(n)] if labels else None
+    return graph_from(chosen, n, names)
 
 
 def watts_strogatz(n: int, k: int, beta: float, seed: int) -> DirectedGraph:
@@ -57,11 +59,8 @@ def watts_strogatz(n: int, k: int, beta: float, seed: int) -> DirectedGraph:
                     edges.discard(e)
                     edges.add(cand)
                     break
-    g = DirectedGraph.with_node_count(n)
-    for e in sorted(tuple(sorted(e)) for e in edges):
-        g.add_arc(e[0], e[1])
-        g.add_arc(e[1], e[0])
-    return g
+    pairs = [tuple(sorted(e)) for e in edges]
+    return graph_from(pairs + [(b, a) for a, b in pairs], n)
 
 
 def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGraph:
@@ -74,7 +73,7 @@ def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGra
     sinks is dropped, which splits a few sinks off as isolated nodes.
     """
     rng = random.Random(seed)
-    g = DirectedGraph.with_node_count(sum(sizes))
+    pairs: list[tuple[int, int]] = []
     lo = 0
     for size in sizes:
 
@@ -86,7 +85,7 @@ def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGra
                 return
             if is_sink(u) or (not is_sink(v) and rng.random() < 0.5):
                 u, v = v, u
-            g.add_arc(u, v)
+            pairs.append((u, v))
 
         for v in range(lo + 1, lo + size):
             link(lo + rng.randrange(v - lo), v)
@@ -98,4 +97,4 @@ def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGra
                 v = lo + rng.randrange(size)
             link(u, v)
         lo += size
-    return g
+    return graph_from(pairs, sum(sizes))

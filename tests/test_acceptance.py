@@ -25,7 +25,7 @@ from ledgergraph.records import TransactionRecord, build_graph, map_to_edges
 
 import oracles
 from fixture_server import FixtureServer, flaky, interval_responder
-from synth import random_digraph, watts_strogatz
+from synth import graph_from, random_digraph, watts_strogatz
 
 
 @contextmanager
@@ -147,11 +147,7 @@ def test_06_cross_product_mapping():
 def test_07_pajek_roundtrip():
     with criterion("07 Pajek roundtrip"):
         cases = [DirectedGraph(), DirectedGraph.with_node_count(1)]
-        complete = DirectedGraph.with_node_count(5)
-        for a in range(5):
-            for b in range(5):
-                if a != b:
-                    complete.add_arc(a, b)
+        complete = graph_from([(a, b) for a in range(5) for b in range(5) if a != b])
         cases.append(complete)
         rng = random.Random(123)
         while len(cases) < 100:
@@ -169,8 +165,7 @@ def test_07_pajek_roundtrip():
                 assert [back.address_of(i) for i in range(g.node_count)] == [
                     g.address_of(i) for i in range(g.node_count)
                 ]
-        golden = DirectedGraph()
-        golden.add_interaction("a", "b")
+        golden = DirectedGraph.from_arcs(2, [0], [1], labels=["a", "b"])
         assert pajek_dumps(golden, include_labels=True) == \
             '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2\n'
 
@@ -270,14 +265,9 @@ def test_11_rate_limit_backoff():
 
 def test_12_load_centrality_oracles():
     with criterion("12 load centrality oracles"):
-        star = DirectedGraph.with_node_count(5)
-        for leaf in range(1, 5):
-            star.add_arc(0, leaf)
-            star.add_arc(leaf, 0)
+        star = graph_from([arc for leaf in range(1, 5) for arc in ((0, leaf), (leaf, 0))])
         assert load_centrality(star, [0]) == [1.0]
-        cycle = DirectedGraph.with_node_count(3)
-        for a, b in [(0, 1), (1, 2), (2, 0)]:
-            cycle.add_arc(a, b)
+        cycle = graph_from([(0, 1), (1, 2), (2, 0)])
         assert load_centrality(cycle, [0, 1, 2]) == [0.5, 0.5, 0.5]
         rng = random.Random(3)
         for seed in range(6):

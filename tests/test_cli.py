@@ -306,6 +306,30 @@ def test_report_rejects_other_json(tmp_path):
     assert main(["report", "--in", str(path)]) == 3
 
 
+@pytest.mark.parametrize("doc", ['{"sigma": 1.5}', '{"graph_acc": 0.5}', '["sigma"]'])
+def test_report_on_incomplete_document_exits_three(tmp_path, capsys, doc):
+    path = tmp_path / "x.json"
+    path.write_text(doc)
+    assert main(["report", "--in", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("ledgergraph report: ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("stats", ["[1]", '{"edge_reuse_ratio": {"a": 1}}',
+                                   '{"edge_reuse_ratio": "0.5"}'])
+def test_stats_not_an_object_with_a_number_exits_three(tmp_path, capsys, command, stats):
+    net = tmp_path / "triangle.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    path = tmp_path / "stats.json"
+    path.write_text(stats)
+    out = tmp_path / "r.json"
+    assert main([command, "--in", str(net), "--out", str(out), "--sample", "1.0",
+                 "--stats", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"ledgergraph {command}: {path}: ") and not out.exists()
+
+
 def _assert_clean_failure(capsys, command, code, expected):
     assert code == expected
     err = capsys.readouterr().err

@@ -1,11 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from ledgergraph.graph import (
-    AddArcResult,
     DirectedGraph,
-    compiled,
     induced_subgraph,
     main_component,
     strongly_connected_components,
@@ -13,96 +12,7 @@ from ledgergraph.graph import (
     weakly_connected_components,
 )
 
-from synth import multi_component_digraph, random_digraph
-
-
-def graph_from(arcs, n=None):
-    n = n if n is not None else (max((max(a, b) for a, b in arcs), default=-1) + 1)
-    g = DirectedGraph.with_node_count(n)
-    for a, b in arcs:
-        g.add_arc(a, b)
-    return g
-
-
-class TestInterning:
-    def test_first_insertion_gets_id_zero(self):
-        g = DirectedGraph()
-        assert g.intern_address("0xabc") == 0
-        assert g.node_count == 1
-
-    def test_idempotent(self):
-        g = DirectedGraph()
-        g.intern_address("0xabc")
-        assert g.intern_address("0xabc") == 0
-        assert g.node_count == 1
-
-    def test_incremental_assignment(self):
-        g = DirectedGraph()
-        g.intern_address("0xabc")
-        assert g.intern_address("rXYZ") == 1
-
-    def test_empty_address_rejected(self):
-        with pytest.raises(ValueError):
-            DirectedGraph().intern_address("")
-
-    def test_ids_follow_first_seen_order(self):
-        rng = random.Random(5)
-        addresses = [f"a{i}" for i in range(200)]
-        rng.shuffle(addresses)
-        g = DirectedGraph()
-        for addr in addresses:
-            g.intern_address(addr)
-        for addr in addresses:
-            g.intern_address(addr)  # idempotent second pass
-        assert [g.address_of(i) for i in range(200)] == addresses
-        assert g.node_count == 200
-
-
-class TestAddArc:
-    def test_insert(self):
-        g = DirectedGraph.with_node_count(2)
-        assert g.add_arc(0, 1) is AddArcResult.INSERTED
-        assert g.arc_count == 1
-
-    def test_duplicate_increments_multiplicity(self):
-        g = DirectedGraph.with_node_count(2)
-        g.add_arc(0, 1)
-        assert g.add_arc(0, 1) is AddArcResult.DUPLICATED
-        assert g.arc_count == 1
-        assert g.multiplicity(0, 1) == 2
-
-    def test_self_loop_discarded_but_counted(self):
-        g = DirectedGraph.with_node_count(3)
-        assert g.add_arc(2, 2) is AddArcResult.SELF_LOOP_DISCARDED
-        assert g.arc_count == 0
-        assert g.self_loop_count == 1
-
-    def test_out_of_range_rejected(self):
-        g = DirectedGraph.with_node_count(2)
-        with pytest.raises(ValueError):
-            g.add_arc(0, 2)
-        with pytest.raises(ValueError):
-            g.add_arc(-1, 0)
-
-    def test_submission_accounting(self):
-        rng = random.Random(11)
-        g = DirectedGraph.with_node_count(10)
-        submissions = 0
-        loops = 0
-        for _ in range(500):
-            a, b = rng.randrange(10), rng.randrange(10)
-            g.add_arc(a, b)
-            if a == b:
-                loops += 1
-            else:
-                submissions += 1
-        assert g.pair_submissions == submissions
-        assert g.self_loop_count == loops
-        assert g.arc_count <= submissions
-        total_multiplicity = sum(g.multiplicity(a, b) for a, b in g.arcs())
-        assert total_multiplicity == submissions
-        expected = (submissions - g.arc_count) / submissions
-        assert g.edge_reuse_ratio() == pytest.approx(expected)
+from synth import graph_from, multi_component_digraph, random_digraph
 
 
 class TestComponents:
@@ -235,27 +145,25 @@ class TestProjectionAndSubgraph:
         assert sorted(sub.arcs()) == [(0, 1), (1, 2), (2, 0)]
 
     def test_induced_subgraph_keeps_labels(self):
-        g = DirectedGraph()
-        g.add_interaction("a", "b")
-        g.add_interaction("b", "c")
+        g = graph_from([(0, 1), (1, 2)], labels=["a", "b", "c"])
         sub, original = induced_subgraph(g, {1, 2})
         assert [sub.address_of(i) for i in range(2)] == ["b", "c"]
 
 
-def one_at_a_time(n, src, dst):
-    g = DirectedGraph.with_node_count(n)
-    results = [g.add_arc(a, b) for a, b in zip(src, dst)]
-    return g, results
-
-
-def same_graph(a, b):
-    assert (a.node_count, a.arc_count, a.pair_submissions, a.self_loop_count) == (
-        b.node_count, b.arc_count, b.pair_submissions, b.self_loop_count)
-    assert list(a.arcs()) == list(b.arcs())
-    assert [a.multiplicity(s, d) for s, d in a.arcs()] == [b.multiplicity(s, d) for s, d in b.arcs()]
-    assert a.edge_reuse_ratio() == b.edge_reuse_ratio()
-    for v in range(a.node_count):
-        assert a.successors(v) == b.successors(v) and a.predecessors(v) == b.predecessors(v)
+def same_as_counted(g, n, src, dst):
+    """Check `g` against the submissions counted with a plain Counter: a
+    self-loop is only counted, any other pair adds one to its arc."""
+    loops = sum(a == b for a, b in zip(src, dst))
+    counts = Counter((a, b) for a, b in zip(src, dst) if a != b)
+    submitted = sum(counts.values())
+    assert (g.node_count, g.arc_count, g.pair_submissions, g.self_loop_count) == (
+        n, len(counts), submitted, loops)
+    assert list(g.arcs()) == sorted(counts)
+    assert [g.multiplicity(a, b) for a, b in g.arcs()] == [counts[arc] for arc in sorted(counts)]
+    assert g.edge_reuse_ratio() == ((submitted - len(counts)) / submitted if submitted else 0.0)
+    for v in range(n):
+        assert g.successors(v) == {b for a, b in counts if a == v}
+        assert g.predecessors(v) == {a for a, b in counts if b == v}
 
 
 class TestBulkConstruction:
@@ -265,12 +173,23 @@ class TestBulkConstruction:
         n = rng.randrange(1, 15)
         src = [rng.randrange(n) for _ in range(300)]
         dst = [rng.randrange(n) for _ in range(300)]
-        same_graph(DirectedGraph.from_arcs(n, src, dst), one_at_a_time(n, src, dst)[0])
+        same_as_counted(DirectedGraph.from_arcs(n, src, dst), n, src, dst)
+
+    @pytest.mark.parametrize("n, arcs", [
+        (2, [(0, 1)]),
+        (2, [(0, 1), (0, 1)]),  # a repeat raises the multiplicity
+        (3, [(2, 2)]),  # a self-loop is counted, not stored
+        (3, [(2, 2), (0, 1), (1, 0), (0, 1), (2, 2), (2, 0)]),
+        (4, []),
+    ])
+    def test_from_arcs_counts_small_inputs(self, n, arcs):
+        src, dst = [a for a, _ in arcs], [b for _, b in arcs]
+        same_as_counted(DirectedGraph.from_arcs(n, src, dst), n, src, dst)
 
     def test_from_arcs_keeps_labels(self):
         g = DirectedGraph.from_arcs(3, [0, 2], [1, 1], labels=["a", None, "c"])
         assert [g.address_of(v) for v in range(3)] == ["a", None, "c"]
-        assert g.node_of("c") == 2 and not g.has_labels()
+        assert not g.has_labels() and DirectedGraph.from_arcs(1, [], [], ["a"]).has_labels()
 
     def test_from_arcs_rejects_ids_out_of_range(self):
         with pytest.raises(ValueError):
@@ -284,29 +203,14 @@ class TestBulkConstruction:
 
     def test_bulk_graph_reads_its_arrays_without_a_buffer(self):
         g = DirectedGraph.from_arcs(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
-        held = compiled(g)
         assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0)]
-        assert g.multiplicity(0, 1) == 2 and g.has_arc(1, 2) and not g.has_arc(2, 1)
+        assert g.multiplicity(0, 1) == 2 and g.multiplicity(1, 2) == 1
+        assert g.multiplicity(2, 1) == 0
         assert g.successors(0) == {1} and g.predecessors(0) == {2}
-        assert compiled(g) is held and g._pending == {}
-
-    def test_add_after_read(self):
-        g = DirectedGraph()
-        assert g.add_interaction("a", "b") is AddArcResult.INSERTED
-        assert list(g.arcs()) == [(0, 1)]
-        assert g.add_interaction("b", "c") is AddArcResult.INSERTED  # a node new since the read
-        assert g.add_interaction("a", "b") is AddArcResult.DUPLICATED
-        assert g.add_interaction("c", "c") is AddArcResult.SELF_LOOP_DISCARDED
-        assert (g.node_count, g.arc_count, g.multiplicity(0, 1)) == (3, 2, 2)
-        assert g.successors(1) == {2} and g.edge_reuse_ratio() == 1 / 3
-        g.intern_address("d")
-        assert g.node_count == 4 and g.successors(3) == frozenset()
-
-    def test_add_to_bulk_graph(self):
-        g = DirectedGraph.from_arcs(3, [0, 0], [1, 1])
-        assert g.add_arc(0, 1) is AddArcResult.DUPLICATED
-        assert g.add_arc(2, 0) is AddArcResult.INSERTED
-        same_graph(g, one_at_a_time(3, [0, 0, 0, 2], [1, 1, 1, 0])[0])
+        # the graph is its own Csr: forward arcs by (tail, head), reverse by (head, tail)
+        assert (g.tails.tolist(), g.fwd_indices.tolist()) == ([0, 1, 2], [1, 2, 0])
+        assert (g.fwd_indptr.tolist(), g.rev_indptr.tolist()) == ([0, 1, 2, 3, 3], [0, 1, 2, 3, 3])
+        assert g.rev_indices.tolist() == [2, 0, 1]
 
     def test_projection_submits_each_arc_both_ways(self):
         p = undirected_projection(graph_from([(0, 1), (1, 0), (1, 2)]))

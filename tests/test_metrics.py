@@ -21,15 +21,7 @@ from ledgergraph.metrics import (
 )
 
 import oracles
-from synth import multi_component_digraph, random_digraph, watts_strogatz
-
-
-def graph_from(arcs, n=None):
-    n = n if n is not None else (max((max(a, b) for a, b in arcs), default=-1) + 1)
-    g = DirectedGraph.with_node_count(n)
-    for a, b in arcs:
-        g.add_arc(a, b)
-    return g
+from synth import graph_from, multi_component_digraph, random_digraph, watts_strogatz
 
 
 def three_cycle():
@@ -37,11 +29,7 @@ def three_cycle():
 
 
 def bidirectional_star(leaves=4):
-    g = DirectedGraph.with_node_count(leaves + 1)
-    for leaf in range(1, leaves + 1):
-        g.add_arc(0, leaf)
-        g.add_arc(leaf, 0)
-    return g
+    return graph_from([arc for leaf in range(1, leaves + 1) for arc in ((0, leaf), (leaf, 0))])
 
 
 class TestDegreeDistribution:
@@ -363,15 +351,16 @@ class TestLoadCentrality:
         nx = pytest.importorskip("networkx")
         rng = random.Random(11)
         n = 1000
-        g = DirectedGraph.with_node_count(n)
+        arcs = []
         for v in range(1, n):  # randomly oriented tree: weakly connected
             u = rng.randrange(v)
-            g.add_arc(*((u, v) if rng.random() < 0.5 else (v, u)))
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
         for _ in range(2 * n):  # extra arcs, 40% of them into 20 hubs
             u = rng.randrange(n)
             v = rng.randrange(20) if rng.random() < 0.4 else rng.randrange(n)
             if u != v:
-                g.add_arc(u, v)
+                arcs.append((u, v))
+        g = graph_from(arcs, n)
         ref = nx.DiGraph()
         ref.add_nodes_from(range(n))
         ref.add_edges_from(g.arcs())

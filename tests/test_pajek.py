@@ -6,12 +6,11 @@ import pytest
 from ledgergraph.graph import DirectedGraph
 from ledgergraph.pajek import PajekParseError, dumps, loads, read_pajek, write_pajek
 
-from synth import random_digraph
+from synth import graph_from, random_digraph
 
 
 def test_golden_labeled_two_nodes():
-    g = DirectedGraph()
-    g.add_interaction("a", "b")
+    g = graph_from([(0, 1)], labels=["a", "b"])
     assert dumps(g, include_labels=True) == '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2\n'
 
 
@@ -20,22 +19,17 @@ def test_golden_empty_graph():
 
 
 def test_golden_three_cycle_no_labels():
-    g = DirectedGraph.with_node_count(3)
-    for a, b in [(0, 1), (1, 2), (2, 0)]:
-        g.add_arc(a, b)
+    g = graph_from([(0, 1), (1, 2), (2, 0)])
     assert dumps(g) == "*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n"
 
 
 def test_arc_lines_are_sorted():
-    g = DirectedGraph.with_node_count(4)
-    for a, b in [(3, 0), (0, 3), (1, 2), (0, 1)]:
-        g.add_arc(a, b)
+    g = graph_from([(3, 0), (0, 3), (1, 2), (0, 1)])
     assert dumps(g) == "*Vertices 4\n*Arcs\n1 2\n1 4\n2 3\n4 1\n"
 
 
 def test_roundtrip_labeled():
-    g = DirectedGraph()
-    g.add_interaction("a", "b")
+    g = graph_from([(0, 1)], labels=["a", "b"])
     back = loads(dumps(g, include_labels=True))
     assert back.node_count == 2
     assert sorted(back.arcs()) == [(0, 1)]
@@ -74,15 +68,13 @@ def test_incomplete_labels_rejected():
 
 
 def test_labels_with_quote_rejected_on_write():
-    g = DirectedGraph()
-    g.add_interaction('he"llo', "b")
+    g = graph_from([(0, 1)], labels=['he"llo', "b"])
     with pytest.raises(ValueError):
         dumps(g, include_labels=True)
 
 
 def test_unlabeled_write_requires_no_labels_flag():
-    g = DirectedGraph.with_node_count(2)
-    g.add_arc(0, 1)
+    g = graph_from([(0, 1)])
     with pytest.raises(ValueError):
         dumps(g, include_labels=True)
 
@@ -109,10 +101,8 @@ def test_unlabeled_form_is_smaller_with_hex_addresses():
     import json
 
     rng = random.Random(7)
-    g = DirectedGraph()
     addrs = ["0x" + "".join(rng.choices("0123456789abcdef", k=40)) for _ in range(300)]
-    for _ in range(900):
-        g.add_interaction(rng.choice(addrs), rng.choice(addrs))
+    g = graph_from([(rng.randrange(300), rng.randrange(300)) for _ in range(900)], 300, addrs)
     labeled = dumps(g, include_labels=True)
     bare = dumps(g)
     assert len(bare) < len(labeled)

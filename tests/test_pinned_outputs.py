@@ -19,22 +19,22 @@ from ledgergraph.pajek import dumps as pajek_dumps
 from ledgergraph.pajek import loads as pajek_loads
 from ledgergraph.records import TransactionRecord, write_dump
 
-from synth import multi_component_digraph, watts_strogatz
+from synth import graph_from, multi_component_digraph, watts_strogatz
 
 
 def hub_heavy_digraph(n=900, seed=5) -> DirectedGraph:
     """Weakly connected random-tree digraph plus 2n arcs, 40% into 12 hubs."""
     rng = random.Random(seed)
-    g = DirectedGraph.with_node_count(n)
+    arcs = []
     for v in range(1, n):
         u = rng.randrange(v)
-        g.add_arc(*((u, v) if rng.random() < 0.5 else (v, u)))
+        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
     for _ in range(2 * n):
         u = rng.randrange(n)
         v = rng.randrange(12) if rng.random() < 0.4 else rng.randrange(n)
         if u != v:
-            g.add_arc(u, v)
-    return g
+            arcs.append((u, v))
+    return graph_from(arcs, n)
 
 
 GRAPHS = {
