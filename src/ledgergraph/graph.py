@@ -41,7 +41,7 @@ class Component:
 
 
 class Csr:
-    """Immutable compiled adjacency: forward and reverse CSR of n nodes.
+    """Immutable adjacency arrays: forward and reverse CSR of n nodes.
 
     Both directions are sorted by (tail, head), so a graph has the same
     arrays whatever order its arcs were submitted in. Component
