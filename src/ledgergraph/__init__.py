@@ -46,7 +46,6 @@ from .fetch import (
     FetchJob,
     FetchResult,
     fetch_transactions,
-    paginate_ripple,
 )
 
 __all__ = [
@@ -77,7 +76,6 @@ __all__ = [
     "load_centrality",
     "main_component",
     "map_to_edges",
-    "paginate_ripple",
     "ratios_and_sigma",
     "read_dump",
     "read_dump_lenient",

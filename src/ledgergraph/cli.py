@@ -102,8 +102,6 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--in", dest="source_file", metavar="FILE",
                    help="local dump file to re-window (same as --source with a path)")
     p.add_argument("--config", help="JSON config file with per-ledger url/key entries")
-    p.add_argument("--page-size", type=int, default=100,
-                   help="transactions per request for interval sources (max 100)")
 
     p = sub.add_parser("build", help="build a Pajek graph from a dump")
     p.add_argument("--in", dest="dump", required=True, help="normalized dump file")
@@ -144,8 +142,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         source = url
     try:
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
-                       source=source, workers=args.workers, page_size=args.page_size,
-                       api_key=api_key)
+                       source=source, workers=args.workers, api_key=api_key)
     except ValueError as exc:
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_USAGE

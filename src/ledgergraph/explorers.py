@@ -3,11 +3,12 @@
 Two retrieval shapes cover the supported ledgers:
 
 - interval sources (ripple): the service answers a time window directly,
-  at most `page_size` transactions per request, so the client walks
-  offset pages until a short page.
+  at most 100 transactions per request, so the client walks offset pages
+  until a short page.
 - block sources (bitcoin, dogecoin, ethereum, ethereum_internal): the
   service is block-oriented; the client binary-searches block headers for
-  the window boundaries and then pulls each block's transactions.
+  the window boundaries, padded by the block-time skew, and then pulls
+  each block's transactions.
 
 The per-transaction JSON shapes mirror the public explorers each ledger is
 normally scraped from (blockchain.info, SoChain, Etherscan, the Ripple
@@ -35,8 +36,6 @@ EXPLORER_DEFAULTS = {
     "ethereum_internal": "https://api.etherscan.io",
     "ripple": "https://data.ripple.com",
 }
-
-BLOCK_LEDGERS = frozenset({"bitcoin", "dogecoin", "ethereum", "ethereum_internal"})
 
 
 class PayloadError(ValueError):

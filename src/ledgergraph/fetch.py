@@ -5,6 +5,12 @@ APIs drift) or an HTTP explorer speaking the layout in `explorers`. The
 fetch stage is the only part of the pipeline that talks to the network;
 everything downstream consumes TransactionRecords.
 
+Both HTTP shapes run their requests through `metrics._run_ordered` and
+merge the outcomes in task order. Ripple pages go in rounds of `workers`
+consecutive offsets, parsed in offset order on the calling thread, until
+the first short page or a round with a failed page. Blocks go in chunks of
+`_BLOCKS_PER_TASK`, each with its own client.
+
 Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
 doubles its pause up to a cap, and retries the same request; the pause
 resets after a success. A `Retry-After` in seconds lengthens a pause, up
@@ -15,18 +21,21 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import explorers
 from .metrics import _run_ordered
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
-DEFAULT_PAGE_SIZE = 100  # the Ripple history service caps responses at 100
+PAGE_SIZE = 100  # the Ripple history service caps responses at 100
 _RETRY_STATUS = (429, 502, 503, 504)  # rate limited, or a transient gateway fault
 _BLOCKS_PER_TASK = 8
+# how far a block's time may sit outside its place in the chain: Bitcoin
+# rejects blocks stamped over 2 h ahead, and the median-of-11 rule keeps an
+# early stamp within about 2 h at 10-min spacing
+_BLOCK_TIME_SKEW = 7_200
 
 
 class FetchError(Exception):
@@ -69,7 +78,6 @@ class FetchJob:
     end: int
     source: str
     workers: int = 1
-    page_size: int = DEFAULT_PAGE_SIZE
     api_key: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -79,8 +87,6 @@ class FetchJob:
             raise ValueError(f"empty interval [{self.start}, {self.end})")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not (1 <= self.page_size <= 100):
-            raise ValueError("page_size must be in [1, 100]")
 
     def is_local(self) -> bool:
         return not self.source.startswith(("http://", "https://"))
@@ -179,17 +185,7 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-# -- ripple: offset pagination over a time window ---------------------------
-
-
-@dataclass(frozen=True)
-class PageRequest:
-    """One interval-source request; covers [start, end) at `offset`."""
-
-    start: int
-    end: int
-    limit: int
-    offset: int
+# -- shared by both retrieval shapes -----------------------------------------
 
 
 def _dedup_key(tx: dict, ledger: str, record: TransactionRecord):
@@ -202,84 +198,89 @@ def _dedup_key(tx: dict, ledger: str, record: TransactionRecord):
         return (record.timestamp, record.senders, record.recipients)
 
 
-def paginate_ripple(start: int, end: int, page_size: int = DEFAULT_PAGE_SIZE) -> Iterator[PageRequest]:
-    """Request descriptors covering [start, end), one page at a time.
+def _keyed_records(
+    job: FetchJob, txs: list, parse: Callable[[object], Optional[TransactionRecord]]
+) -> tuple[list[tuple[object, TransactionRecord]], int]:
+    """(dedup key, record) for each payload in the window, and the number
+    of payloads skipped as malformed or unmappable."""
+    out: list[tuple[object, TransactionRecord]] = []
+    skipped = 0
+    for tx in txs:
+        try:
+            record = parse(tx)
+        except (explorers.PayloadError, ValueError):
+            record = None
+        if record is None:
+            skipped += 1
+        elif job.start <= record.timestamp < job.end:
+            out.append((_dedup_key(tx, job.ledger, record), record))
+    return out, skipped
 
-    The sequence is unbounded; the fetch loop stops at the first page that
-    comes back with fewer than `page_size` records.
+
+def _merge(
+    outcomes: list[tuple[str, object]], unit: str, unrequested: tuple[str, ...] = ()
+) -> FetchResult:
+    """One result from (range name, outcome) pairs in task order.
+
+    An outcome is a FetchError or the (pairs, skipped) of `_keyed_records`;
+    the first sighting of each key wins. If any range failed, raises
+    FetchError listing the failed ranges, then `unrequested`, with the
+    merged records as its partial result.
     """
-    if page_size > 100:
-        raise ValueError("the history service serves at most 100 transactions per request")
-    offset = 0
-    while True:
-        yield PageRequest(start=start, end=end, limit=page_size, offset=offset)
-        offset += page_size
+    result = FetchResult()
+    seen: set = set()
+    for name, outcome in outcomes:
+        if isinstance(outcome, FetchError):
+            result.failed_ranges.append(f"{name}: {outcome}")
+            continue
+        pairs, skipped = outcome
+        result.skipped_payloads += skipped
+        for key, record in pairs:
+            if key not in seen:
+                seen.add(key)
+                result.records.append(record)
+    if result.failed_ranges:
+        message = f"{len(result.failed_ranges)} {unit} failed"
+        result.failed_ranges.extend(unrequested)
+        raise FetchError(message, result.failed_ranges, partial=result)
+    return result
+
+
+# -- ripple: offset pages over a time window, one round of `workers` at a time
 
 
 def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) -> FetchResult:
     url = explorers.interval_url(job.source)
-    pages = paginate_ripple(job.start, job.end, job.page_size)
-    page_lock = threading.Lock()
-    stop = threading.Event()
-    results: dict[int, tuple[PageRequest, list]] = {}
-    errors: dict[int, FetchError] = {}
-
-    def worker() -> None:
-        client = make_client()
-        while not stop.is_set():
-            with page_lock:
-                req = next(pages)
-            try:
-                payload = client.get_json(
-                    url,
-                    {"start": req.start, "end": req.end, "limit": req.limit,
-                     "offset": req.offset},
-                )
-            except FetchError as exc:
-                errors[req.offset] = exc
-                stop.set()
-                return
-            txs = payload.get("transactions", [])
-            results[req.offset] = (req, txs)
-            if len(txs) < req.limit:
-                stop.set()
-                return
-
-    _run_ordered(range(job.workers), lambda _: worker(), job.workers)
-
-    result = FetchResult()
-    seen: set = set()
-    last_short = min(
-        (off for off, (req, txs) in results.items() if len(txs) < req.limit),
-        default=None,
-    )
-    for offset in sorted(results):
-        if last_short is not None and offset > last_short:
-            continue  # speculative page beyond the end of the data
-        _, txs = results[offset]
-        for tx in txs:
-            try:
-                record = explorers.parse_ripple_tx(tx)
-            except (explorers.PayloadError, ValueError):
-                result.skipped_payloads += 1
-                continue
-            key = _dedup_key(tx, job.ledger, record)
-            if key in seen:
-                continue
-            seen.add(key)
-            if job.start <= record.timestamp < job.end:
-                result.records.append(record)
     window = f"{job.ledger} [{job.start}, {job.end})"
-    for offset in sorted(errors):
-        if last_short is None or offset < last_short:  # else past the end of the data
-            result.failed_ranges.append(f"{window} page offset {offset}: {errors[offset]}")
-    if result.failed_ranges:
-        message = f"{len(result.failed_ranges)} page(s) failed"
-        if last_short is None:  # the window's end was never seen
-            rest = max([*results, *errors]) + job.page_size
-            result.failed_ranges.append(f"{window} page offsets from {rest} on: not requested")
-        raise FetchError(message, result.failed_ranges, partial=result)
-    return result
+    clients = [make_client() for _ in range(job.workers)]
+
+    def get_page(task: tuple[int, int]) -> object:
+        slot, offset = task
+        try:
+            return clients[slot].get_json(
+                url, {"start": job.start, "end": job.end, "limit": PAGE_SIZE, "offset": offset})
+        except FetchError as exc:
+            return exc
+
+    outcomes: list[tuple[str, object]] = []
+    offset = 0
+    while True:
+        tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
+        offset += job.workers * PAGE_SIZE
+        failed = False
+        for (_, at), page in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
+            name = f"{window} page offset {at}"
+            if isinstance(page, FetchError):
+                outcomes.append((name, page))
+                failed = True
+                continue
+            txs = page.get("transactions", [])
+            outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
+            if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
+                return _merge(outcomes, "page(s)")
+        if failed:  # the window's end was never seen
+            return _merge(outcomes, "page(s)",
+                          (f"{window} page offsets from {offset} on: not requested",))
 
 
 # -- block-oriented ledgers ---------------------------------------------------
@@ -293,10 +294,12 @@ def _block_time(client: RetryingClient, base: str, height: int) -> int:
 def _lower_bound_block(
     client: RetryingClient, base: str, latest: int, threshold: int
 ) -> int:
-    """Smallest height whose block time is >= threshold (latest+1 if none).
+    """Smallest height whose block time is >= threshold (latest+1 if none),
+    were block times non-decreasing.
 
-    Block times are treated as non-decreasing, which is how the chain's
-    median-time rules make them behave at day granularity.
+    They are not: a block may be stamped up to `_BLOCK_TIME_SKEW` before or
+    after its neighbours. So the caller pads each threshold by that much
+    and filters every transaction by its own timestamp.
     """
     lo, hi = 0, latest + 1
     while lo < hi:
@@ -312,68 +315,33 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
     base = job.source
     probe = make_client()
     latest = int(probe.get_json(explorers.latest_url(base))["height"])
-    first = _lower_bound_block(probe, base, latest, job.start)
-    past = _lower_bound_block(probe, base, latest, job.end)
-    result = FetchResult()
-    if first >= past:
-        return result
-
+    first = _lower_bound_block(probe, base, latest, job.start - _BLOCK_TIME_SKEW)
+    past = _lower_bound_block(probe, base, latest, job.end + _BLOCK_TIME_SKEW)
     chunks = [
         range(lo, min(lo + _BLOCKS_PER_TASK, past))
         for lo in range(first, past, _BLOCKS_PER_TASK)
     ]
 
-    def fetch_chunk(blocks: range) -> tuple[list[tuple[object, TransactionRecord]], int]:
+    def fetch_chunk(blocks: range) -> object:
         client = make_client()
-        out: list[tuple[object, TransactionRecord]] = []
+        pairs: list[tuple[object, TransactionRecord]] = []
         skipped = 0
-        for height in blocks:
-            payload = client.get_json(explorers.block_txs_url(base, height))
-            block_time = payload.get("time")
-            for tx in payload.get("txs", []):
-                try:
-                    record = explorers.parse_block_tx(job.ledger, tx, block_time)
-                except (explorers.PayloadError, ValueError):
-                    skipped += 1
-                    continue
-                if record is None:
-                    skipped += 1
-                    continue
-                if job.start <= record.timestamp < job.end:
-                    out.append((_dedup_key(tx, job.ledger, record), record))
-        return out, skipped
-
-    def run(blocks: range) -> object:
         try:
-            return fetch_chunk(blocks)
+            for height in blocks:
+                payload = client.get_json(explorers.block_txs_url(base, height))
+                block_time = payload.get("time")
+                found, bad = _keyed_records(
+                    job, payload.get("txs", []),
+                    lambda tx: explorers.parse_block_tx(job.ledger, tx, block_time))
+                pairs += found
+                skipped += bad
         except FetchError as exc:
             return exc
+        return pairs, skipped
 
-    outcomes = _run_ordered(chunks, run, job.workers)
-
-    seen: set = set()
-    for i, outcome in enumerate(outcomes):
-        if isinstance(outcome, FetchError):
-            blocks = chunks[i]
-            result.failed_ranges.append(
-                f"{job.ledger} blocks [{blocks.start}, {blocks.stop}): {outcome}"
-            )
-            continue
-        assert outcome is not None
-        pairs, skipped = outcome
-        result.skipped_payloads += skipped
-        for h, record in pairs:
-            if h in seen:
-                continue
-            seen.add(h)
-            result.records.append(record)
-    if result.failed_ranges:
-        raise FetchError(
-            f"{len(result.failed_ranges)} block range(s) failed",
-            result.failed_ranges,
-            partial=result,
-        )
-    return result
+    outcomes = _run_ordered(chunks, fetch_chunk, job.workers)
+    names = [f"{job.ledger} blocks [{c.start}, {c.stop})" for c in chunks]
+    return _merge(list(zip(names, outcomes)), "block range(s)")
 
 
 # -- entry point --------------------------------------------------------------

@@ -85,12 +85,13 @@ def degree_distribution(graph: Csr, hub_count: int = 10) -> DegreeHistogram:
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
-    # mutual pairs: arcs whose reverse is among the sorted (tail, head) keys
-    heads = graph.fwd_indices.astype(np.int64)
-    keys = graph.tails * graph.n + heads
-    back = heads * graph.n + graph.tails
+    # mutual pairs: in-arcs (t, v) whose reverse (v, t) is among the sorted
+    # (tail, head) keys; the reverse CSR lists the queries v*n + t ascending
+    keys = graph.tails * graph.n + graph.fwd_indices
+    rev_heads = np.repeat(np.arange(graph.n), in_deg)
+    back = rev_heads * graph.n + graph.rev_indices
     mutual = keys[np.minimum(np.searchsorted(keys, back), graph.m - 1)] == back
-    total_deg = in_deg + out_deg - np.bincount(graph.tails[mutual], minlength=graph.n)
+    total_deg = in_deg + out_deg - np.bincount(rev_heads[mutual], minlength=graph.n)
 
     def table(deg: np.ndarray) -> dict[int, int]:
         return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}

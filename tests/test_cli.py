@@ -1,8 +1,11 @@
+import argparse
 import json
+import os
+import re
 
 import pytest
 
-from ledgergraph.cli import main
+from ledgergraph.cli import build_arg_parser, main
 from ledgergraph.pajek import dumps as pajek_dumps
 from ledgergraph.records import TransactionRecord, write_dump
 
@@ -24,6 +27,22 @@ def write_fixture_dump(path, count=60, seed=3):
     with open(path, "w") as fh:
         write_dump(records, fh)
     return records
+
+
+def test_readme_documents_every_subcommand_option():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    parser = build_arg_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        f"{name} {option}"
+        for name, sub in commands.choices.items()
+        for action in sub._actions if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and not re.search(re.escape(option) + r"(?![\w-])", text)
+    ]
+    assert missing == []
 
 
 def test_usage_error_exits_one():

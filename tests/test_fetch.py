@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -11,10 +10,8 @@ from ledgergraph.fetch import (
     BackoffPolicy,
     FetchError,
     FetchJob,
-    PageRequest,
     RetryingClient,
     fetch_transactions,
-    paginate_ripple,
     policy_from_env,
     resolve_endpoint,
 )
@@ -39,16 +36,6 @@ def ripple_job(url, workers=1, **kw):
 
 
 class TestPagination:
-    def test_descriptors_cover_interval_without_gaps(self):
-        pages = list(itertools.islice(paginate_ripple(T0, T0 + DAY), 5))
-        assert pages[0] == PageRequest(start=T0, end=T0 + DAY, limit=100, offset=0)
-        assert [p.offset for p in pages] == [0, 100, 200, 300, 400]
-        assert all(p.start == T0 and p.end == T0 + DAY for p in pages)
-
-    def test_page_size_cap(self):
-        with pytest.raises(ValueError):
-            next(paginate_ripple(T0, T0 + DAY, page_size=101))
-
     def test_250_records_take_three_requests(self):
         txs = [ripple_tx(i, T0 + i) for i in range(250)]
         with FixtureServer(interval_responder(txs)) as server:
@@ -212,6 +199,40 @@ class TestIntervalFailures:
         assert "page offsets from 200 on" in ranges[1]
         assert len(exc.value.partial.records) == 100
 
+    def test_rounds_make_a_failed_fetch_deterministic(self, monkeypatch):
+        # the slow failure at offset 100 cannot let the other workers run
+        # ahead: one round of three pages is requested, then the fetch stops
+        txs = [ripple_tx(i, T0 + i) for i in range(450)]
+        serve = interval_responder(txs)
+
+        def responder(path, query):
+            if query["offset"] == "100":
+                time.sleep(0.2)
+                return 500, {"error": "boom"}
+            return serve(path, query)
+
+        made = []
+
+        class CountedClient(RetryingClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr("ledgergraph.fetch.RetryingClient", CountedClient)
+        with FixtureServer(responder) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(ripple_job(server.url, workers=3))
+            offsets = sorted(int(q["offset"]) for _, q in server.requests)
+        assert offsets == [0, 100, 200]
+        assert str(exc.value) == "1 page(s) failed"
+        ranges = exc.value.failed_ranges
+        assert len(ranges) == 2
+        assert "page offset 100: " in ranges[0]
+        assert ranges[1].endswith("page offsets from 300 on: not requested")
+        stamps = sorted(r.timestamp - T0 for r in exc.value.partial.records)
+        assert stamps == [*range(0, 100), *range(200, 300)]
+        assert len(made) == 3
+
 
 class TestIntervalSemantics:
     def test_out_of_window_records_dropped(self):
@@ -276,6 +297,23 @@ def make_blocks(start_time, spacing, txs_per_block, count, tx_fn=eth_tx):
 
 
 class TestBlockFetch:
+    @pytest.mark.parametrize("times, in_window", [
+        # block 3 is stamped 10 min before block 2, which is stamped at the
+        # end of the window: a search for the end alone stops at block 2
+        ([T0 - DAY, T0 + 100, T0 + DAY, T0 + DAY - 600, T0 + 2 * DAY],
+         [T0 + 100, T0 + DAY - 600]),
+        # block 1 is stamped an hour after blocks 2 and 3, which are stamped
+        # before the window: a search for the start alone begins at block 4
+        ([T0 - DAY, T0 + 3000, T0 - 600, T0 - 300, T0 + 600, T0 + 2 * DAY],
+         [T0 + 600, T0 + 3000]),
+    ], ids=["early_stamp_after_end", "late_stamp_before_start"])
+    def test_skewed_block_times_keep_window_blocks(self, times, in_window):
+        blocks = [(when, [eth_tx(i, when)]) for i, when in enumerate(times)]
+        with FixtureServer(block_responder(blocks)) as server:
+            job = FetchJob(ledger="ethereum", start=T0, end=T0 + DAY, source=server.url)
+            result = fetch_transactions(job)
+        assert sorted(r.timestamp for r in result.records) == in_window
+
     def test_binary_search_finds_exact_window(self):
         # 12 blocks spanity 3 days; the middle day holds blocks 4..7
         blocks = make_blocks(T0 - DAY, DAY // 4, 2, 12)
