@@ -129,10 +129,6 @@ def build_arg_parser() -> _Parser:
 # -- commands -----------------------------------------------------------------
 
 
-def _dump_sort_key(record):
-    return (record.timestamp, record.senders, record.recipients, record.tx_kind)
-
-
 def cmd_fetch(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else None
     source = args.source or args.source_file
@@ -173,7 +169,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _write_dump_sorted(records, path: str) -> None:
-    records = sorted(records, key=_dump_sort_key)
+    records = sorted(records, key=lambda r: (r.timestamp, r.senders, r.recipients, r.tx_kind))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_dump(records, fh)
 
@@ -235,10 +231,6 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
     return float(value) if value is not None else None
 
 
-def _histogram_base(out_path: str) -> str:
-    return out_path[:-5] if out_path.endswith(".json") else out_path
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         plan = _make_plan(args)
@@ -257,7 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         log.info("metrics took %.2fs", time.perf_counter() - t0)
         _write_text(args.out, _json_bytes(report.to_json_dict()))
-        base = _histogram_base(args.out)
+        base = args.out[:-5] if args.out.endswith(".json") else args.out
         hist = report.degree_histogram
         _write_text(base + ".degree_in.txt", histogram_lines(hist.in_degree))
         _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))

@@ -16,7 +16,9 @@ the main component's sub-CSR, which the Csr computes once and keeps.
   heads of that node's out-arcs only; otherwise it pulls, one gather +
   bitwise-or sweep over all m reverse arcs. Both directions set the same
   bits. Distances are summed as exact integers, so a fraction-1 run
-  reproduces the brute-force all-pairs average bit for bit.
+  reproduces the brute-force all-pairs average bit for bit. It runs only
+  on the nodes reached from the sample that reach it back: no others lie
+  on a shortest path between two sampled nodes.
 - Load centrality is normalized shortest-path betweenness (it matches
   networkx.betweenness_centrality, not Goh load or
   networkx.load_centrality). It uses Brandes' per-source accumulation of
@@ -41,7 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .graph import Csr
+from .graph import Csr, _arc_slots, _distinct, _masked_arcs, _reach
 
 _BITS = 64  # BFS sources per bitset batch
 _PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
@@ -221,12 +223,6 @@ def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _arc_slots(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
-    """Forward-CSR slots of `counts[i]` arcs from `starts[i]`, node by node."""
-    first = np.cumsum(counts) - counts  # output position of each node's first arc
-    return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
-
-
 def _batch_pair_sums(
     csr: Csr, batch: np.ndarray, targets: np.ndarray, nonempty: np.ndarray, seg_starts: np.ndarray
 ) -> tuple[int, int]:
@@ -282,6 +278,12 @@ def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
             f"sample of {len(sample)} node(s) from a {n}-node component "
             "cannot form an ordered pair; raise the fraction"
         )
+    # only nodes reached from the sample that reach it lie on its paths
+    keep = (_reach(sub.fwd_indptr, sub.fwd_indices, sample)
+            & _reach(sub.rev_indptr, sub.rev_indices, sample))
+    if not keep.all():
+        sample = (np.cumsum(keep) - 1)[sample]
+        sub = Csr(*_masked_arcs(sub, keep))
     nonempty = np.flatnonzero(np.diff(sub.rev_indptr))
     seg_starts = sub.rev_indptr[nonempty]
     batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
@@ -336,8 +338,7 @@ def _brandes_chunk(csr: Csr, sources: np.ndarray) -> np.ndarray:
             if h.size == 0:
                 break
             t = tails[arc[on_tree]] + row[on_tree]
-            nxt = np.sort(h)
-            nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
+            nxt = _distinct(h)
             level += 1
             dist[nxt] = level
             np.add.at(sigma, h, sigma[t])

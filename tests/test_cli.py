@@ -2,15 +2,18 @@ import argparse
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ledgergraph
 from ledgergraph.cli import build_arg_parser, main
 from ledgergraph.pajek import dumps as pajek_dumps
 from ledgergraph.records import TransactionRecord, write_dump
 
 from fixture_server import FixtureServer, flaky, interval_responder
-from synth import watts_strogatz
+from synth import random_digraph, watts_strogatz
 
 T0 = 1_598_918_400  # 2020-09-01T00:00:00Z
 DAY = 86_400
@@ -184,6 +187,21 @@ def test_worker_determinism_byte_identical(tmp_path):
                      "--sample", "0.5", "--seed", "3", "--workers", workers]) == 0
         outs[workers] = (rpt.read_bytes(), cmp_path.read_bytes())
     assert outs["1"] == outs["8"]
+
+
+@pytest.mark.parametrize("args", [
+    ["compare"], ["compare", "--undirected"], ["compare", "--component", "strong"], ["analyze"],
+], ids=" ".join)
+def test_analysis_never_imports_numpy_ma(tmp_path, args):
+    # numpy.ma costs 8 ms to import; plain np.unique and np.union1d load it
+    net = tmp_path / "g.net"
+    net.write_text(pajek_dumps(random_digraph(300, 900, 4)))
+    code = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code, *args, "--in", str(net),
+                    "--out", str(tmp_path / "r.json"), "--sample", "0.3"], env=env, check=True)
 
 
 def test_compare_flags_small_world_fixture(tmp_path):

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from ledgergraph import graph as graph_module
 from ledgergraph.graph import (
     DirectedGraph,
     induced_subgraph,
@@ -124,6 +126,94 @@ class TestComponents:
             assert {c.members for c in comps} == {frozenset(c) for c in theirs(ref)}
             assert [len(c) for c in comps] == sorted((len(c) for c in comps), reverse=True)
             assert len(comps) > 7 and len(comps[0]) > 1
+
+
+def reach(g, seeds, reverse=False):
+    if reverse:
+        return graph_module._reach(g.rev_indptr, g.rev_indices, seeds).tolist()
+    return graph_module._reach(g.fwd_indptr, g.fwd_indices, seeds).tolist()
+
+
+class TestReach:
+    def test_no_seeds_reach_nothing(self):
+        g = graph_from([(0, 1), (1, 2)])
+        assert reach(g, []) == [False] * 3
+        assert reach(g, np.empty(0, dtype=np.int64), reverse=True) == [False] * 3
+
+    def test_sink_seed_reaches_only_itself(self):
+        g = graph_from([(0, 1), (1, 2), (3, 2)])
+        assert reach(g, [2]) == [False, False, True, False]
+        assert reach(g, [2], reverse=True) == [True, True, True, True]
+
+    def test_repeated_seeds_count_once(self):
+        g = graph_from([(0, 1), (1, 2), (3, 4)])
+        assert reach(g, [1, 1, 3, 1, 3]) == [False, True, True, True, True]
+        assert reach(g, [1, 1, 3, 1, 3], reverse=True) == [True, True, False, True, False]
+
+    def test_cycle_reaches_everything_both_ways(self):
+        n = 7
+        g = graph_from([(i, (i + 1) % n) for i in range(n)] + [(7, 0)], n=9)
+        assert reach(g, [3]) == [True] * n + [False, False]
+        assert reach(g, [3], reverse=True) == [True] * 8 + [False]
+
+
+def strong_case(name):
+    """Graphs on which the degree mask and one forward-backward pass leave
+    nodes for Tarjan, and the corner cases of the fast path."""
+    if name == "giant_plus_cycles_and_chains":
+        giant = [(i, (i + 1) % 10) for i in range(10)] + [(0, 5), (5, 0), (3, 7)]
+        others = [(10, 11), (11, 12), (12, 10), (13, 14), (14, 13)]  # two more components
+        chains = [(15, 16), (16, 0), (9, 17), (17, 18), (12, 19), (20, 13)]
+        return graph_from(giant + others + chains + [(21, 22), (22, 21), (21, 4)], n=23)
+    if name == "dag":
+        return graph_from([(a, b) for a in range(8) for b in range(a + 1, 8) if (a * b) % 3])
+    if name == "empty":
+        return DirectedGraph()
+    if name == "one_node":
+        return DirectedGraph.with_node_count(1)
+    if name == "no_node_with_both_arc_kinds":
+        return graph_from([(0, 3), (0, 4), (1, 3), (2, 4), (2, 5)])
+    if name == "pivot_tie":
+        # nodes 1 and 4 both have the maximum degree 4; the lower one is the pivot
+        return graph_from([(0, 1), (1, 0), (1, 2), (2, 1), (3, 4), (4, 3), (4, 5), (5, 4)])
+    assert name.startswith("random_")
+    seed = int(name.split("_")[1])
+    return random_digraph(120, 150 + 10 * seed, seed)
+
+
+STRONG_CASES = ["giant_plus_cycles_and_chains", "dag", "empty", "one_node",
+                "no_node_with_both_arc_kinds", "pivot_tie"] + [f"random_{s}" for s in range(8)]
+
+
+class TestStrongFastPath:
+    @pytest.mark.parametrize("name", STRONG_CASES)
+    def test_same_labels_as_tarjan_alone(self, monkeypatch, name):
+        g = strong_case(name)
+        left = []
+        tarjan = graph_module._tarjan_labels
+
+        def recorded(csr):
+            left.append(csr.n)
+            return tarjan(csr)
+
+        monkeypatch.setattr(graph_module, "_tarjan_labels", recorded)
+        got = graph_module._strong_labels(g)
+        assert got.dtype == np.int64
+        assert got.tolist() == tarjan(g).tolist()
+        if name in ("giant_plus_cycles_and_chains", "pivot_tie") or name.startswith("random_"):
+            assert left and left[0] > 0  # Tarjan really ran on a remainder
+
+    def test_cases_cover_several_components_and_singletons(self):
+        labels = graph_module._strong_labels(strong_case("giant_plus_cycles_and_chains"))
+        sizes = sorted(Counter(labels.tolist()).values(), reverse=True)
+        assert sizes[:4] == [10, 3, 2, 2] and sizes.count(1) == 6
+        assert set(graph_module._strong_labels(strong_case("dag")).tolist()) == set(range(8))
+
+    def test_symmetric_closure_is_the_arc_union(self):
+        g = random_digraph(40, 90, 5)
+        sym = g.symmetric()
+        expected = sorted(set(g.arcs()) | {(b, a) for a, b in g.arcs()})
+        assert list(zip(sym.tails.tolist(), sym.fwd_indices.tolist())) == expected
 
 class TestProjectionAndSubgraph:
     def test_projection_symmetric(self):

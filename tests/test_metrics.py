@@ -28,6 +28,21 @@ def three_cycle():
     return graph_from([(0, 1), (1, 2), (2, 0)])
 
 
+def digraph_with_dead_ends(seed):
+    """A seeded random digraph with in-trees hanging into it and out-trees
+    hanging off it: tree nodes lie on no path between two core nodes."""
+    rng = random.Random(seed)
+    core = rng.randrange(60, 120)
+    arcs = list(random_digraph(core, 2 * core, seed).arcs())
+    n = core
+    for _ in range(rng.randrange(20, 60)):
+        grow_in = rng.random() < 0.5
+        anchor = rng.randrange(n)
+        arcs.append((n, anchor) if grow_in else (anchor, n))
+        n += 1
+    return graph_from(arcs, n)
+
+
 def bidirectional_star(leaves=4):
     return graph_from([arc for leaf in range(1, leaves + 1) for arc in ((0, leaf), (leaf, 0))])
 
@@ -214,6 +229,36 @@ class TestAspl:
         expected = oracles.exact_aspl(g, members=members, among=among)
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
         assert aspl(g, SamplePlan(fraction=0.5, seed=3)) == expected
+
+    # _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls
+    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pruned_sample_equals_bruteforce(self, monkeypatch, alpha, seed):
+        g = digraph_with_dead_ends(seed)
+        measured = []
+        kernel = metrics._batch_pair_sums
+
+        def recorded(csr, *args):
+            measured.append(csr.n)
+            return kernel(csr, *args)
+
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
+        weak, strong = oracles.weak_main_members(g), oracles.strong_main_members(g)
+        for fraction, component, undirected in itertools.product(
+            (0.1, 0.3), ("weak_main", "strong_main"), (False, True)
+        ):
+            members = weak if component == "weak_main" else strong
+            picked = metrics._sample_nodes(len(members), fraction, seed)
+            among = {sorted(members)[i] for i in picked}
+            expected = oracles.exact_aspl(g, undirected, members, among=among)
+            measured.clear()
+            plan = SamplePlan(fraction, seed, component, undirected)
+            assert aspl(g, plan) == expected
+            if component == "weak_main" and not undirected:
+                assert measured[0] < len(members)  # the dead ends were pruned
+            else:
+                assert measured[0] == len(members)  # strongly connected: nothing to prune
 
     def test_matches_networkx_at_scale(self):
         nx = pytest.importorskip("networkx")
