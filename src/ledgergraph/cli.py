@@ -24,7 +24,7 @@ from . import __version__, pajek
 from .fetch import FetchError, FetchJob, fetch_transactions, load_config, resolve_endpoint
 from .metrics import SamplePlan, build_metrics_report, histogram_lines
 from .nullmodel import small_world_compare
-from .records import RecordSchemaError, build_graph, read_dump_lenient, write_dump
+from .records import LEDGERS, RecordSchemaError, build_graph, read_dump_lenient, write_dump
 
 log = logging.getLogger("ledgergraph")
 
@@ -90,8 +90,7 @@ def build_arg_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", help="download transactions into a normalized dump")
-    p.add_argument("--ledger", required=True,
-                   choices=["bitcoin", "dogecoin", "ethereum", "ethereum_internal", "ripple"])
+    p.add_argument("--ledger", required=True, choices=LEDGERS)
     p.add_argument("--from", dest="start", required=True, type=_parse_when,
                    metavar="DATE", help="interval start (inclusive), ISO-8601 UTC")
     p.add_argument("--to", dest="end", required=True, type=_parse_when,
@@ -226,9 +225,11 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
     if not isinstance(stats, dict):
         raise ValueError(f"{path}: stats must be a JSON object")
     value = stats.get("edge_reuse_ratio")
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"{path}: edge_reuse_ratio must be a number, got {value!r}")
-    return float(value) if value is not None else None
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"{path}: edge_reuse_ratio must be a number in [0, 1], got {value!r}")
+    return float(value)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

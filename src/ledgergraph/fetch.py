@@ -139,9 +139,12 @@ class RetryingClient:
             else:
                 if resp.status_code == 200:
                     try:
-                        return resp.json()
+                        body = resp.json()
                     except ValueError as exc:
                         raise FetchError(f"{url} returned non-JSON body") from exc
+                    if not isinstance(body, dict):
+                        raise FetchError(f"{url} returned {type(body).__name__}, not an object")
+                    return body
                 status = resp.status_code
                 if status not in _RETRY_STATUS:
                     raise FetchError(f"{url} returned HTTP {status}")
@@ -186,6 +189,15 @@ def load_config(path: str) -> dict:
 
 
 # -- shared by both retrieval shapes -----------------------------------------
+
+
+def _field(payload: dict, key: str, kind: type, url: str):
+    """payload[key] when it is a `kind`, never a bool; otherwise (absent
+    included) FetchError, so the range it was fetched for fails."""
+    value = payload.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise FetchError(f"{url} gave {key!r} = {value!r}, not a JSON {kind.__name__}")
+    return value
 
 
 def _dedup_key(tx: dict, ledger: str, record: TransactionRecord):
@@ -257,8 +269,9 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
     def get_page(task: tuple[int, int]) -> object:
         slot, offset = task
         try:
-            return clients[slot].get_json(
+            page = clients[slot].get_json(
                 url, {"start": job.start, "end": job.end, "limit": PAGE_SIZE, "offset": offset})
+            return _field(page, "transactions", list, url)
         except FetchError as exc:
             return exc
 
@@ -268,13 +281,12 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
         tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
         offset += job.workers * PAGE_SIZE
         failed = False
-        for (_, at), page in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
+        for (_, at), txs in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
             name = f"{window} page offset {at}"
-            if isinstance(page, FetchError):
-                outcomes.append((name, page))
+            if isinstance(txs, FetchError):
+                outcomes.append((name, txs))
                 failed = True
                 continue
-            txs = page.get("transactions", [])
             outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
             if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
                 return _merge(outcomes, "page(s)")
@@ -287,8 +299,8 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
 
 
 def _block_time(client: RetryingClient, base: str, height: int) -> int:
-    payload = client.get_json(explorers.header_url(base, height))
-    return int(payload["time"])
+    url = explorers.header_url(base, height)
+    return _field(client.get_json(url), "time", int, url)
 
 
 def _lower_bound_block(
@@ -312,11 +324,15 @@ def _lower_bound_block(
 
 
 def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> FetchResult:
-    base = job.source
-    probe = make_client()
-    latest = int(probe.get_json(explorers.latest_url(base))["height"])
-    first = _lower_bound_block(probe, base, latest, job.start - _BLOCK_TIME_SKEW)
-    past = _lower_bound_block(probe, base, latest, job.end + _BLOCK_TIME_SKEW)
+    base, probe = job.source, make_client()
+    try:
+        url = explorers.latest_url(base)
+        latest = _field(probe.get_json(url), "height", int, url)
+        first = _lower_bound_block(probe, base, latest, job.start - _BLOCK_TIME_SKEW)
+        past = _lower_bound_block(probe, base, latest, job.end + _BLOCK_TIME_SKEW)
+    except FetchError as exc:  # the whole window is left to re-run
+        window = f"{job.ledger} [{job.start}, {job.end})"
+        raise FetchError("block search failed", [f"{window} block search: {exc}"]) from exc
     chunks = [
         range(lo, min(lo + _BLOCKS_PER_TASK, past))
         for lo in range(first, past, _BLOCKS_PER_TASK)
@@ -328,10 +344,11 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
         skipped = 0
         try:
             for height in blocks:
-                payload = client.get_json(explorers.block_txs_url(base, height))
+                url = explorers.block_txs_url(base, height)
+                payload = client.get_json(url)
                 block_time = payload.get("time")
                 found, bad = _keyed_records(
-                    job, payload.get("txs", []),
+                    job, _field(payload, "txs", list, url),
                     lambda tx: explorers.parse_block_tx(job.ledger, tx, block_time))
                 pairs += found
                 skipped += bad

@@ -2,12 +2,12 @@
 
 A graph is built once and then only read. A `Csr` holds the arcs of n
 nodes as forward and reverse CSR arrays sorted by (tail, head). A
-`DirectedGraph` is a Csr that also keeps the address of each node and the
-multiplicity of each arc, so edge-reuse statistics stay derivable;
-self-loop submissions are counted but never stored. A DirectedGraph is
-built from all its submissions at once by `DirectedGraph.from_arcs`, which
-finds the distinct arcs and their counts with one `np.unique` over int64
-keys tail * n + head; the sorted keys are already the forward CSR order.
+`DirectedGraph` is a Csr that also keeps the address of each node and
+counts its arc and self-loop submissions, so the edge-reuse ratio stays
+derivable; self-loops are counted but never stored. A DirectedGraph is
+built from all its submissions at once by its constructor, which finds
+the distinct arcs with one sort (`_distinct`) of the int64 keys
+tail * n + head; the sorted keys are already the forward CSR order.
 
 No function here changes a built graph, so a graph can be shared across
 threads.
@@ -108,10 +108,10 @@ class DirectedGraph(Csr):
                  labels: Optional[Sequence[Optional[str]]] = None) -> None:
         """Graph of `n` nodes from the arc submissions (src[i], dst[i]).
 
-        Repeats and self-loops are allowed: a repeat adds to the arc's
-        multiplicity and a self-loop is counted, then dropped. The result
-        does not depend on the order of the submissions. `labels[v]` is the
-        address of node v (None for an unlabeled node).
+        Repeats and self-loops are allowed: a repeat is counted in
+        `pair_submissions` and a self-loop in `self_loop_count`; neither is
+        stored. The result does not depend on the order of the submissions.
+        `labels[v]` is the address of node v (None for an unlabeled node).
         """
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
@@ -122,21 +122,10 @@ class DirectedGraph(Csr):
             raise ValueError(f"{len(labels)} labels for {n} nodes")
         loop = src == dst
         self.self_loop_count = int(loop.sum())
-        self.pair_submissions = len(src) - self.self_loop_count  # sum of the multiplicities
-        keys, self._mult = np.unique(src[~loop] * n + dst[~loop], return_counts=True)
+        self.pair_submissions = len(src) - self.self_loop_count
+        keys = _distinct(src[~loop] * n + dst[~loop])
         super().__init__(n, keys // n, keys % n)  # n > 0 whenever there are keys
         self._addresses = [None] * n if labels is None else list(labels)
-
-    @classmethod
-    def with_node_count(cls, n: int) -> "DirectedGraph":
-        """A graph of `n` unlabeled nodes 0..n-1 and no arcs."""
-        return cls(n)
-
-    @classmethod
-    def from_arcs(cls, n: int, src: Sequence[int], dst: Sequence[int],
-                  labels: Optional[Sequence[Optional[str]]] = None) -> "DirectedGraph":
-        """The graph the constructor builds from these arguments."""
-        return cls(n, src, dst, labels)
 
     @property
     def node_count(self) -> int:
@@ -164,12 +153,6 @@ class DirectedGraph(Csr):
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs, sorted by (tail, head)."""
         return zip(self.tails.tolist(), self.fwd_indices.tolist())
-
-    def multiplicity(self, src: int, dst: int) -> int:
-        """How many times the arc (src, dst) was submitted (0 if absent)."""
-        lo = self.fwd_indptr[src]
-        hit = np.flatnonzero(self.fwd_indices[lo:self.fwd_indptr[src + 1]] == dst)
-        return int(self._mult[lo + hit[0]]) if len(hit) else 0
 
     def edge_reuse_ratio(self) -> float:
         """Fraction of arc submissions that hit an already existing arc."""
@@ -325,12 +308,12 @@ def undirected_projection(graph: DirectedGraph) -> DirectedGraph:
     """Symmetric closure: for every arc (a, b) ensure (b, a) exists too.
 
     The node set and labels are preserved. Each arc is submitted once in
-    each direction, so a mutual pair ends with multiplicity 2; the
-    original multiplicities are not carried over (the projection is an
+    each direction, so a mutual pair counts as two reused submissions; the
+    original submission counts are not carried over (the projection is an
     analysis artifact, not a transaction record).
     """
     tails, heads = graph.tails, graph.fwd_indices.astype(np.int64)
-    return DirectedGraph.from_arcs(
+    return DirectedGraph(
         graph.n, np.concatenate((tails, heads)), np.concatenate((heads, tails)), graph._addresses
     )
 
@@ -348,4 +331,4 @@ def induced_subgraph(
     mask = np.zeros(graph.n, dtype=bool)
     mask[original_ids] = True
     labels = [graph.address_of(v) for v in original_ids] if graph.has_labels() else None
-    return DirectedGraph.from_arcs(*_masked_arcs(graph, mask), labels), original_ids
+    return DirectedGraph(*_masked_arcs(graph, mask), labels), original_ids

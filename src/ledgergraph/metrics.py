@@ -435,7 +435,7 @@ def build_metrics_report(
     """Run the full analysis suite on one graph.
 
     `edge_reuse_ratio` can be supplied from ingestion stats when the graph
-    was loaded from Pajek (the format does not keep multiplicities); it
+    was loaded from Pajek (the format keeps no repeat submissions); it
     must be supplied for a plain Csr, which keeps none either.
     """
     n = graph.n

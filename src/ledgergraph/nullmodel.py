@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import Csr, DirectedGraph
+from .graph import DirectedGraph
 from .metrics import MetricsReport, SamplePlan, build_metrics_report
 
 log = logging.getLogger("ledgergraph")
@@ -59,23 +59,18 @@ class RandomGraphSpec:
 
 
 def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
-    """Draw a random graph per `spec`, deterministically for a given seed."""
-    return DirectedGraph.from_arcs(spec.node_count, *random_arcs(spec))
-
-
-def random_arcs(spec: RandomGraphSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The arcs of `erdos_renyi(spec)` as (src, dst) arrays, in draw order.
+    """Draw a random graph per `spec`, deterministically for a given seed.
 
     G(n, m) draws exactly m distinct pairs uniformly (collision-retry,
     cheap while m is far from saturation, correct regardless). G(n, p)
     walks the pair-index space with geometric jumps, so the cost scales
     with the number of arcs produced rather than n^2. An undirected pair
-    (i, j) gives the arcs (i, j) and (j, i), one after the other.
+    (i, j) is submitted as the two arcs (i, j) and (j, i).
     """
     n, p = spec.node_count, spec.edge_probability
     rng = np.random.default_rng(spec.seed)
     if n < 2 or p == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return DirectedGraph(n)
     if spec.edge_count is not None:
         # each batch keeps, in batch order, the first sighting of every pair
         # that is neither a self-loop nor already chosen, up to m pairs
@@ -124,7 +119,7 @@ def random_arcs(spec: RandomGraphSpec) -> tuple[np.ndarray, np.ndarray]:
             src, dst = i, picks - base + i + 1
     if not spec.directed:
         src, dst = np.stack((src, dst), axis=1).ravel(), np.stack((dst, src), axis=1).ravel()
-    return src, dst
+    return DirectedGraph(n, src, dst)
 
 
 @dataclass
@@ -204,22 +199,15 @@ def small_world_compare(
     log.info("real_metrics_s: %.2fs", time.perf_counter() - t0)
 
     t0 = time.perf_counter()
-    n = real.node_count
-    spec = RandomGraphSpec(node_count=n, edge_count=real.arc_count, directed=True, seed=seed)
-    # a Csr takes its arcs sorted by (tail, head); the keys go before the twin is measured
-    keys = np.sort(np.ravel_multi_index(random_arcs(spec), (n, n)))
-    random_graph = Csr(n, keys // n, keys % n)
-    del keys
+    random_graph = erdos_renyi(RandomGraphSpec(
+        node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed))
     log.info("random_generation_s: %.2fs", time.perf_counter() - t0)
 
     undefined: dict[str, str] = {}
     random_metrics: Optional[MetricsReport] = None
     t0 = time.perf_counter()
     try:
-        # G(n, m) submits every pair once, so nothing is reused
-        random_metrics = build_metrics_report(
-            random_graph, plan, hub_count=0, workers=workers, edge_reuse_ratio=0.0
-        )
+        random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
     except ValueError as exc:
         undefined["aspl_ratio"] = f"random graph is degenerate: {exc}"
         undefined["acc_ratio"] = f"random graph is degenerate: {exc}"

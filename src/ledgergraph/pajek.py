@@ -103,7 +103,7 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
         if ends is None:  # arcs before the block, or a block numpy cannot take
             n, ends, labels = _read_lines(io.StringIO(text))
     del text, block  # the document is not needed while the graph is built
-    return DirectedGraph.from_arcs(n, ends[0::2] - 1, ends[1::2] - 1, labels)
+    return DirectedGraph(n, ends[0::2] - 1, ends[1::2] - 1, labels)
 
 
 def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:

@@ -9,7 +9,7 @@ JSON object per line with exactly these fields:
 
 The strict and lenient dump readers share one line loop. `build_graph`
 interns addresses into node ids and hands every arc submission to
-`DirectedGraph.from_arcs` at once, so no arc is added one at a time.
+the `DirectedGraph` constructor at once, so no arc is added one at a time.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ def build_graph(
         for sender, recipient in map_to_edges(record):
             src.append(intern(sender, len(ids)))
             dst.append(intern(recipient, len(ids)))
-    graph = DirectedGraph.from_arcs(len(ids), src, dst, labels=list(ids))
+    graph = DirectedGraph(len(ids), src, dst, labels=list(ids))
     stats.binary_connections = len(src)
     stats.unique_arcs = graph.arc_count
     stats.self_loops = graph.self_loop_count

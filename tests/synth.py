@@ -12,7 +12,7 @@ def graph_from(arcs, n=None, labels=None) -> DirectedGraph:
     to one more than the highest node id."""
     arcs = list(arcs)
     n = n if n is not None else (max((max(a, b) for a, b in arcs), default=-1) + 1)
-    return DirectedGraph.from_arcs(n, [a for a, _ in arcs], [b for _, b in arcs], labels)
+    return DirectedGraph(n, [a for a, _ in arcs], [b for _, b in arcs], labels)
 
 
 def random_digraph(n: int, m: int, seed: int, labels: bool = False) -> DirectedGraph:

@@ -146,7 +146,7 @@ def test_06_cross_product_mapping():
 
 def test_07_pajek_roundtrip():
     with criterion("07 Pajek roundtrip"):
-        cases = [DirectedGraph(), DirectedGraph.with_node_count(1)]
+        cases = [DirectedGraph(), DirectedGraph(1)]
         complete = graph_from([(a, b) for a in range(5) for b in range(5) if a != b])
         cases.append(complete)
         rng = random.Random(123)
@@ -165,7 +165,7 @@ def test_07_pajek_roundtrip():
                 assert [back.address_of(i) for i in range(g.node_count)] == [
                     g.address_of(i) for i in range(g.node_count)
                 ]
-        golden = DirectedGraph.from_arcs(2, [0], [1], labels=["a", "b"])
+        golden = DirectedGraph(2, [0], [1], labels=["a", "b"])
         assert pajek_dumps(golden, include_labels=True) == \
             '*Vertices 2\n1 "a"\n2 "b"\n*Arcs\n1 2\n'
 

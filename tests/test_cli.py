@@ -265,6 +265,17 @@ def test_fetch_unreachable_endpoint_exits_two(tmp_path, capsys, monkeypatch):
     assert "failed" in capsys.readouterr().err
 
 
+def test_fetch_malformed_explorer_response_exits_two(tmp_path, capsys):
+    out = tmp_path / "dump.ndjson"
+    with FixtureServer(lambda path, query: (200, {})) as server:  # no "height"
+        code = main(["fetch", "--ledger", "ethereum", "--from", "2020-09-01",
+                     "--to", "2020-09-02", "--out", str(out), "--source", server.url])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("ledgergraph fetch: block search failed\n")
+    assert f"  failed: ethereum [{T0}, {T0 + 86_400}) block search: " in err and "'height'" in err
+
+
 def test_fetch_env_endpoint_and_rate_limit(tmp_path, monkeypatch):
     txs = [{"hash": "H1", "date": T0 + 1,
             "tx": {"TransactionType": "Payment", "Account": "rA", "Destination": "rB"}}]
@@ -354,7 +365,9 @@ def test_report_on_incomplete_document_exits_three(tmp_path, capsys, doc):
 
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 @pytest.mark.parametrize("stats", ["[1]", '{"edge_reuse_ratio": {"a": 1}}',
-                                   '{"edge_reuse_ratio": "0.5"}'])
+                                   '{"edge_reuse_ratio": "0.5"}', '{"edge_reuse_ratio": NaN}',
+                                   '{"edge_reuse_ratio": Infinity}', '{"edge_reuse_ratio": 7}',
+                                   '{"edge_reuse_ratio": -1}'])
 def test_stats_not_an_object_with_a_number_exits_three(tmp_path, capsys, command, stats):
     net = tmp_path / "triangle.net"
     net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")

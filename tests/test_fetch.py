@@ -388,6 +388,47 @@ class TestBlockFetch:
         assert sorted(r.recipients[0] for r in result.records) == ["0xa", "0xb", "0xc", "0xd"]
 
 
+class TestMalformedResponses:
+    # one day of blocks 3 h apart: the search reads headers 0, 1, 3, 6, 8
+    # and 9, then blocks 0..8 are fetched in the chunks [0, 8) and [8, 9)
+    @pytest.mark.parametrize("path, body, failed, why", [
+        ("/api/latest", {}, "block search", "'height' = None"),
+        ("/api/latest", [1], "block search", "list, not an object"),
+        ("/api/latest", {"height": "11"}, "block search", "'height' = '11'"),
+        ("/api/block/6/header", {"height": 6}, "block search", "'time' = None"),
+        ("/api/block/6/header", {"height": 6, "time": True}, "block search", "'time' = True"),
+        ("/api/block/5/txs", {"time": T0, "txs": {"0": {}}}, "blocks [0, 8)", "'txs' = {"),
+        ("/api/block/8/txs", [], "blocks [8, 9)", "list, not an object"),
+        ("/api/block/8/txs", {"time": T0 + DAY}, "blocks [8, 9)", "'txs' = None"),
+    ], ids=["latest_empty", "latest_list", "latest_string", "header_no_time",
+            "header_bool_time", "txs_object", "block_list", "block_no_txs"])
+    def test_block_response_fails_its_range(self, path, body, failed, why):
+        serve = block_responder(make_blocks(T0, DAY // 8, 1, 12))
+        with FixtureServer(lambda p, q: (200, body) if p == path else serve(p, q)) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(FetchJob(ledger="ethereum", start=T0, end=T0 + DAY,
+                                            source=server.url))
+        [reason] = exc.value.failed_ranges
+        assert reason.startswith(f"ethereum {failed}" if failed.startswith("blocks")
+                                 else f"ethereum [{T0}, {T0 + DAY}) {failed}: ")
+        assert why in reason
+
+    @pytest.mark.parametrize("body", [[1], "text", {"transactions": "none"}, {"error": "busy"}],
+                             ids=["list", "string", "transactions_string", "no_transactions"])
+    def test_ripple_page_fails_its_offset(self, body):
+        serve = interval_responder([ripple_tx(i, T0 + i) for i in range(250)])
+
+        def respond(path, query):
+            return (200, body) if query["offset"] == "100" else serve(path, query)
+
+        with FixtureServer(respond) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(ripple_job(server.url))
+        ranges = exc.value.failed_ranges
+        assert "page offset 100: " in ranges[0] and "page offsets from 200 on" in ranges[1]
+        assert len(exc.value.partial.records) == 100
+
+
 class TestLocalSource:
     def test_local_dump_filtering(self, tmp_path):
         records = [

@@ -170,7 +170,7 @@ def strong_case(name):
     if name == "empty":
         return DirectedGraph()
     if name == "one_node":
-        return DirectedGraph.with_node_count(1)
+        return DirectedGraph(1)
     if name == "no_node_with_both_arc_kinds":
         return graph_from([(0, 3), (0, 4), (1, 3), (2, 4), (2, 5)])
     if name == "pivot_tie":
@@ -242,14 +242,13 @@ class TestProjectionAndSubgraph:
 
 def same_as_counted(g, n, src, dst):
     """Check `g` against the submissions counted with a plain Counter: a
-    self-loop is only counted, any other pair adds one to its arc."""
+    self-loop is only counted, any other pair is one submission of its arc."""
     loops = sum(a == b for a, b in zip(src, dst))
     counts = Counter((a, b) for a, b in zip(src, dst) if a != b)
     submitted = sum(counts.values())
     assert (g.node_count, g.arc_count, g.pair_submissions, g.self_loop_count) == (
         n, len(counts), submitted, loops)
     assert list(g.arcs()) == sorted(counts)
-    assert [g.multiplicity(a, b) for a, b in g.arcs()] == [counts[arc] for arc in sorted(counts)]
     assert g.edge_reuse_ratio() == ((submitted - len(counts)) / submitted if submitted else 0.0)
     for v in range(n):
         assert g.successors(v) == {b for a, b in counts if a == v}
@@ -263,39 +262,39 @@ class TestBulkConstruction:
         n = rng.randrange(1, 15)
         src = [rng.randrange(n) for _ in range(300)]
         dst = [rng.randrange(n) for _ in range(300)]
-        same_as_counted(DirectedGraph.from_arcs(n, src, dst), n, src, dst)
+        same_as_counted(DirectedGraph(n, src, dst), n, src, dst)
 
     @pytest.mark.parametrize("n, arcs", [
         (2, [(0, 1)]),
-        (2, [(0, 1), (0, 1)]),  # a repeat raises the multiplicity
+        (2, [(0, 1), (0, 1)]),  # a repeat is a reused submission, not a second arc
         (3, [(2, 2)]),  # a self-loop is counted, not stored
         (3, [(2, 2), (0, 1), (1, 0), (0, 1), (2, 2), (2, 0)]),
         (4, []),
     ])
     def test_from_arcs_counts_small_inputs(self, n, arcs):
         src, dst = [a for a, _ in arcs], [b for _, b in arcs]
-        same_as_counted(DirectedGraph.from_arcs(n, src, dst), n, src, dst)
+        same_as_counted(DirectedGraph(n, src, dst), n, src, dst)
 
     def test_from_arcs_keeps_labels(self):
-        g = DirectedGraph.from_arcs(3, [0, 2], [1, 1], labels=["a", None, "c"])
+        g = DirectedGraph(3, [0, 2], [1, 1], labels=["a", None, "c"])
         assert [g.address_of(v) for v in range(3)] == ["a", None, "c"]
-        assert not g.has_labels() and DirectedGraph.from_arcs(1, [], [], ["a"]).has_labels()
+        assert not g.has_labels() and DirectedGraph(1, [], [], ["a"]).has_labels()
 
     def test_from_arcs_rejects_ids_out_of_range(self):
         with pytest.raises(ValueError):
-            DirectedGraph.from_arcs(2, [0], [2])
+            DirectedGraph(2, [0], [2])
         with pytest.raises(ValueError):
-            DirectedGraph.from_arcs(2, [-1], [0])
+            DirectedGraph(2, [-1], [0])
         with pytest.raises(ValueError):
-            DirectedGraph.from_arcs(-1, [], [])
+            DirectedGraph(-1, [], [])
         with pytest.raises(ValueError):
-            DirectedGraph.from_arcs(2, [0], [1], labels=["a"])
+            DirectedGraph(2, [0], [1], labels=["a"])
 
     def test_bulk_graph_reads_its_arrays_without_a_buffer(self):
-        g = DirectedGraph.from_arcs(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
+        g = DirectedGraph(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
         assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0)]
-        assert g.multiplicity(0, 1) == 2 and g.multiplicity(1, 2) == 1
-        assert g.multiplicity(2, 1) == 0
+        # five submissions: one self-loop, and (0, 1) twice
+        assert (g.pair_submissions, g.self_loop_count, g.edge_reuse_ratio()) == (4, 1, 1 / 4)
         assert g.successors(0) == {1} and g.predecessors(0) == {2}
         # the graph is its own Csr: forward arcs by (tail, head), reverse by (head, tail)
         assert (g.tails.tolist(), g.fwd_indices.tolist()) == ([0, 1, 2], [1, 2, 0])
@@ -304,5 +303,6 @@ class TestBulkConstruction:
 
     def test_projection_submits_each_arc_both_ways(self):
         p = undirected_projection(graph_from([(0, 1), (1, 0), (1, 2)]))
-        assert [p.multiplicity(a, b) for a, b in p.arcs()] == [2, 2, 1, 1]
-        assert (p.pair_submissions, p.edge_reuse_ratio()) == (6, 2 / 6)
+        assert list(p.arcs()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        # the mutual pair is submitted twice each way, (1, 2) once each way
+        assert (p.pair_submissions, p.self_loop_count, p.edge_reuse_ratio()) == (6, 0, 2 / 6)

@@ -150,6 +150,24 @@ class TestCompare:
         twin_doc.pop("hub_load")
         assert json.dumps(twin_doc, sort_keys=True) == json.dumps(full_doc, sort_keys=True)
 
+    def test_twin_is_drawn_by_erdos_renyi_once(self, monkeypatch):
+        from ledgergraph import nullmodel
+        specs, twins = [], []
+
+        def spy(spec):
+            specs.append(spec)
+            twins.append(erdos_renyi(spec))
+            return twins[-1]
+
+        monkeypatch.setattr(nullmodel, "erdos_renyi", spy)
+        g = watts_strogatz(200, 4, 0.1, seed=2)
+        report = small_world_compare(g, SamplePlan(fraction=1.0), seed=5)
+        assert specs == [RandomGraphSpec(node_count=200, edge_count=g.arc_count, seed=5)]
+        # the drawn graph is the one measured, reuse ratio included
+        assert report.random_metrics.edge_reuse_ratio == twins[0].edge_reuse_ratio() == 0.0
+        assert report.random_metrics.graph_acc == build_metrics_report(
+            twins[0], SamplePlan(fraction=1.0), hub_count=0).graph_acc
+
     def test_small_world_graph_scores_high(self):
         g = watts_strogatz(1000, 10, 0.1, seed=3)
         report = small_world_compare(g, SamplePlan(fraction=0.5, seed=1), seed=7)
@@ -164,7 +182,7 @@ class TestCompare:
 
     def test_degenerate_random_twin_is_flagged_not_fatal(self):
         # 2 nodes, 1 arc: the random twin may be a single arc with C_r = 0
-        g = DirectedGraph.from_arcs(2, [0], [1])
+        g = DirectedGraph(2, [0], [1])
         report = small_world_compare(g, SamplePlan(fraction=1.0), seed=0)
         assert report.sigma is None
         assert "sigma" in report.undefined

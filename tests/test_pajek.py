@@ -115,7 +115,7 @@ def test_unlabeled_form_is_smaller_with_hex_addresses():
 
 
 def test_write_to_stream():
-    g = DirectedGraph.with_node_count(1)
+    g = DirectedGraph(1)
     buf = io.StringIO()
     write_pajek(g, buf)
     assert buf.getvalue() == "*Vertices 1\n*Arcs\n"
