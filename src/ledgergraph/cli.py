@@ -6,6 +6,8 @@ deterministic for fixed inputs and seeds regardless of --workers; wall
 clock per phase goes to stderr, never into the report files.
 
 Exit codes: 0 success, 1 usage error, 2 fetch failure, 3 data/parse error.
+
+The numpy-backed modules are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import sys
 import time
 from typing import Optional
 
-from . import __version__, pajek
+from . import __version__
 from .fetch import FetchError, FetchJob, fetch_transactions, load_config, resolve_endpoint
-from .metrics import SamplePlan, build_metrics_report, histogram_lines
-from .nullmodel import small_world_compare
 from .records import LEDGERS, RecordSchemaError, build_graph, read_dump_lenient, write_dump
 
 log = logging.getLogger("ledgergraph")
@@ -174,6 +174,7 @@ def _write_dump_sorted(records, path: str) -> None:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from . import pajek
     try:
         _require_out_dir(args.out)
         with open(args.dump, encoding="utf-8") as fh:
@@ -199,12 +200,14 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _load_graph(path: str):
+    from . import pajek
     with open(path, encoding="utf-8") as fh:
         return pajek.read_pajek(fh)
 
 
-def _make_plan(args: argparse.Namespace) -> SamplePlan:
+def _make_plan(args: argparse.Namespace):
     """The ASPL sample plan; also checks --hubs and --workers."""
+    from .metrics import SamplePlan
     if args.hubs < 0:
         raise ValueError(f"--hubs must be >= 0, got {args.hubs}")
     if args.workers < 1:
@@ -233,6 +236,7 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .metrics import build_metrics_report, histogram_lines
     try:
         plan = _make_plan(args)
     except ValueError as exc:
@@ -255,7 +259,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _write_text(base + ".degree_in.txt", histogram_lines(hist.in_degree))
         _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))
         _write_text(base + ".degree_total.txt", histogram_lines(hist.total_degree))
-    except (pajek.PajekParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PajekParseError is a ValueError
         print(f"ledgergraph analyze: {exc}", file=sys.stderr)
         return EXIT_DATA
     print(f"ACC {report.graph_acc:.6g}, main component ASPL {report.main_component_aspl:.6g}")
@@ -263,6 +267,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .nullmodel import small_world_compare
     try:
         plan = _make_plan(args)
     except ValueError as exc:
@@ -278,7 +283,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             edge_reuse_ratio=_stats_edge_reuse(args.stats),
         )
         _write_text(args.out, _json_bytes(report.to_json_dict()))
-    except (pajek.PajekParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # PajekParseError is a ValueError
         print(f"ledgergraph compare: {exc}", file=sys.stderr)
         return EXIT_DATA
     sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"

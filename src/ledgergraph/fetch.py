@@ -5,11 +5,13 @@ APIs drift) or an HTTP explorer speaking the layout in `explorers`. The
 fetch stage is the only part of the pipeline that talks to the network;
 everything downstream consumes TransactionRecords.
 
-Both HTTP shapes run their requests through `metrics._run_ordered` and
-merge the outcomes in task order. Ripple pages go in rounds of `workers`
-consecutive offsets, parsed in offset order on the calling thread, until
-the first short page or a round with a failed page. Blocks go in chunks of
-`_BLOCKS_PER_TASK`, each with its own client.
+Both HTTP shapes run their requests through `_run_ordered` (the one
+ordered task runner; `metrics` uses it too) and merge the outcomes in task
+order. Ripple pages go in rounds of `workers` consecutive offsets, parsed
+in offset order on the calling thread, until the first short page or a
+round with a failed page. Blocks go in chunks of `_BLOCKS_PER_TASK`, each
+with its own client. This module loads no numpy, and no `http.client` or
+`ssl` until the first request.
 
 Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
 doubles its pause up to a cap, and retries the same request; the pause
@@ -22,11 +24,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import explorers
-from .metrics import _run_ordered
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
 PAGE_SIZE = 100  # the Ripple history service caps responses at 100
@@ -36,6 +38,16 @@ _BLOCKS_PER_TASK = 8
 # rejects blocks stamped over 2 h ahead, and the median-of-11 rule keeps an
 # early stamp within about 2 h at 10-min spacing
 _BLOCK_TIME_SKEW = 7_200
+_HEADERS = {"Accept": "application/json", "User-Agent": "ledgergraph"}
+
+
+def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> list:
+    """Run fn over tasks; results always come back in task order."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, t) for t in tasks]
+        return [f.result() for f in futures]
 
 
 class FetchError(Exception):
@@ -100,11 +112,17 @@ class FetchResult:
 
 
 class RetryingClient:
-    """requests wrapper with per-instance (that is, per-worker) backoff.
+    """JSON GETs over kept-alive `http.client` connections, one per
+    (scheme, host:port), with per-instance (that is, per-worker) backoff.
+
+    A transport error (`OSError`, `http.client.HTTPException`) drops its
+    connection and takes the backoff path; but a GET that fails on a reused
+    connection before any response (the server closed it while idle) is
+    sent again at once on a new one, with no pause and no retry counted.
+    No redirects (a 3xx fails), proxies or gzip; HTTPS uses the system CAs.
 
     Sleeps are routed through the injected `sleep` so tests can observe the
     schedule instead of waiting it out; `pauses` records every pause taken.
-    `requests` loads on first use, so commands that never fetch skip it.
     """
 
     def __init__(
@@ -114,16 +132,48 @@ class RetryingClient:
         api_key: Optional[str] = None,
         timeout: float = 30.0,
     ):
-        import requests
         self.policy = policy
         self.sleep = sleep
         self.api_key = api_key
         self.timeout = timeout
-        self.session = requests.Session()
         self.pauses: list[float] = []
+        self._conns: dict[tuple[str, str], object] = {}
+
+    def close(self) -> None:
+        while self._conns:
+            self._conns.popitem()[1].close()
+
+    def _get(self, url: str, params: dict) -> tuple[int, str, bytes]:
+        """(status, Retry-After, body) of one GET of `url` with `params`."""
+        import http.client
+        from urllib.parse import urlencode, urlsplit
+        parts = urlsplit(url)  # explorer URLs carry no query of their own
+        target = (parts.path or "/") + ("?" + urlencode(params) if params else "")
+        key = (parts.scheme, parts.netloc)
+        conn = self._conns.get(key)
+        if conn is None:
+            kind = http.client.HTTPSConnection if parts.scheme == "https" \
+                else http.client.HTTPConnection
+            conn = self._conns[key] = kind(parts.netloc, timeout=self.timeout)
+        reused = conn.sock is not None
+        try:
+            try:
+                conn.request("GET", target, headers=_HEADERS)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+                if not reused:
+                    raise
+                conn.close()  # the next request opens a new connection
+                conn.request("GET", target, headers=_HEADERS)
+                resp = conn.getresponse()
+            body = resp.read()
+        except (OSError, http.client.HTTPException):
+            self._conns.pop(key).close()
+            raise
+        return resp.status, resp.getheader("Retry-After", "").strip(), body
 
     def get_json(self, url: str, params: Optional[dict] = None) -> dict:
-        import requests
+        import http.client
         params = dict(params or {})
         if self.api_key:
             params["apikey"] = self.api_key
@@ -132,26 +182,24 @@ class RetryingClient:
         while True:
             pause = delay
             try:
-                resp = self.session.get(url, params=params, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, wait, body = self._get(url, params)
+            except (OSError, http.client.HTTPException) as exc:
                 if retries >= self.policy.max_retries:
                     raise FetchError(f"{url} unreachable after {retries} retries: {exc}") from exc
             else:
-                if resp.status_code == 200:
+                if status == 200:
                     try:
-                        body = resp.json()
+                        body = json.loads(body)
                     except ValueError as exc:
                         raise FetchError(f"{url} returned non-JSON body") from exc
                     if not isinstance(body, dict):
                         raise FetchError(f"{url} returned {type(body).__name__}, not an object")
                     return body
-                status = resp.status_code
                 if status not in _RETRY_STATUS:
                     raise FetchError(f"{url} returned HTTP {status}")
                 if retries >= self.policy.max_retries:
                     state = "rate-limited" if status == 429 else f"answering HTTP {status}"
                     raise FetchError(f"{url} still {state} after {retries} retries")
-                wait = resp.headers.get("Retry-After", "").strip()
                 if wait.isdigit():  # delta-seconds; an HTTP-date keeps the schedule
                     pause = min(max(delay, float(wait)), self.policy.cap)
             self.pauses.append(pause)
@@ -275,24 +323,28 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
         except FetchError as exc:
             return exc
 
-    outcomes: list[tuple[str, object]] = []
-    offset = 0
-    while True:
-        tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
-        offset += job.workers * PAGE_SIZE
-        failed = False
-        for (_, at), txs in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
-            name = f"{window} page offset {at}"
-            if isinstance(txs, FetchError):
-                outcomes.append((name, txs))
-                failed = True
-                continue
-            outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
-            if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
-                return _merge(outcomes, "page(s)")
-        if failed:  # the window's end was never seen
-            return _merge(outcomes, "page(s)",
-                          (f"{window} page offsets from {offset} on: not requested",))
+    try:
+        outcomes: list[tuple[str, object]] = []
+        offset = 0
+        while True:
+            tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
+            offset += job.workers * PAGE_SIZE
+            failed = False
+            for (_, at), txs in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
+                name = f"{window} page offset {at}"
+                if isinstance(txs, FetchError):
+                    outcomes.append((name, txs))
+                    failed = True
+                    continue
+                outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
+                if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
+                    return _merge(outcomes, "page(s)")
+            if failed:  # the window's end was never seen
+                return _merge(outcomes, "page(s)",
+                              (f"{window} page offsets from {offset} on: not requested",))
+    finally:
+        for client in clients:
+            client.close()
 
 
 # -- block-oriented ledgers ---------------------------------------------------
@@ -333,6 +385,8 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
     except FetchError as exc:  # the whole window is left to re-run
         window = f"{job.ledger} [{job.start}, {job.end})"
         raise FetchError("block search failed", [f"{window} block search: {exc}"]) from exc
+    finally:
+        probe.close()
     chunks = [
         range(lo, min(lo + _BLOCKS_PER_TASK, past))
         for lo in range(first, past, _BLOCKS_PER_TASK)
@@ -354,6 +408,8 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
                 skipped += bad
         except FetchError as exc:
             return exc
+        finally:
+            client.close()
         return pairs, skipped
 
     outcomes = _run_ordered(chunks, fetch_chunk, job.workers)

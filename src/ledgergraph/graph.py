@@ -100,8 +100,8 @@ class DirectedGraph(Csr):
     """A Csr built from arc submissions, with an address table.
 
     Node ids are consecutive integers starting at 0. Nodes built from
-    ledger records carry their address; nodes of synthetic graphs and of
-    unlabeled Pajek files have none.
+    ledger records carry their address; synthetic graphs and unlabeled
+    Pajek files keep no address table at all.
     """
 
     def __init__(self, n: int = 0, src: Sequence[int] = _NO_ARCS, dst: Sequence[int] = _NO_ARCS,
@@ -125,7 +125,7 @@ class DirectedGraph(Csr):
         self.pair_submissions = len(src) - self.self_loop_count
         keys = _distinct(src[~loop] * n + dst[~loop])
         super().__init__(n, keys // n, keys % n)  # n > 0 whenever there are keys
-        self._addresses = [None] * n if labels is None else list(labels)
+        self._addresses = None if labels is None else list(labels)
 
     @property
     def node_count(self) -> int:
@@ -136,11 +136,11 @@ class DirectedGraph(Csr):
         return self.m
 
     def address_of(self, node: int) -> Optional[str]:
-        return self._addresses[node]
+        return None if self._addresses is None else self._addresses[node]
 
     def has_labels(self) -> bool:
         """True when every node carries an address label."""
-        return None not in self._addresses
+        return self.n == 0 if self._addresses is None else None not in self._addresses
 
     def successors(self, node: int) -> frozenset[int]:
         """Distinct successors of `node`."""

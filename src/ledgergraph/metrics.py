@@ -37,12 +37,12 @@ so results are bit-identical for any `workers` value.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .fetch import _run_ordered
 from .graph import Csr, _arc_slots, _distinct, _masked_arcs, _reach
 
 _BITS = 64  # BFS sources per bitset batch
@@ -50,19 +50,6 @@ _PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
 _BRANDES_BATCH = 16  # sources swept together inside a task
 _WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def _run_ordered(tasks: Sequence[_T], fn: Callable[[_T], _R], workers: int) -> list[_R]:
-    """Run fn over tasks; results always come back in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, t) for t in tasks]
-        return [f.result() for f in futures]
-
 
 # ---------------------------------------------------------------------------
 # degree distribution

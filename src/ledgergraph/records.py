@@ -8,23 +8,26 @@ JSON object per line with exactly these fields:
      "timestamp": <unix seconds>, "tx_kind": "..."}
 
 The strict and lenient dump readers share one line loop. `build_graph`
-interns addresses into node ids and hands every arc submission to
-the `DirectedGraph` constructor at once, so no arc is added one at a time.
+interns addresses into node ids and hands every arc submission to the
+`DirectedGraph` constructor at once, so no arc is added one at a time; it
+imports the graph module (and numpy) only when called.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
 
-from .graph import DirectedGraph
+if TYPE_CHECKING:
+    from .graph import DirectedGraph
 
 LEDGERS = ("bitcoin", "dogecoin", "ethereum", "ethereum_internal", "ripple")
 UTXO_LEDGERS = frozenset({"bitcoin", "dogecoin"})
 SINGLE_PAIR_LEDGERS = frozenset({"ethereum", "ethereum_internal", "ripple"})
 
 RIPPLE_PAYMENT = "Payment"
+_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
 
 
 class RecordSchemaError(ValueError):
@@ -100,10 +103,8 @@ def record_from_json_dict(obj: object) -> TransactionRecord:
 def write_dump(records: Iterable[TransactionRecord], stream: IO[str]) -> int:
     """Write records as newline-delimited JSON; returns the count."""
     count = 0
-    for rec in records:
-        stream.write(json.dumps(rec.to_json_dict(), sort_keys=True))
-        stream.write("\n")
-        count += 1
+    for count, rec in enumerate(records, start=1):
+        stream.write(_ENCODER.encode(rec.to_json_dict()) + "\n")
     return count
 
 
@@ -202,6 +203,7 @@ def build_graph(
     sender->recipient pair. The arc set is independent of record order
     (node ids are not).
     """
+    from .graph import DirectedGraph
     stats = IngestionStats(skipped_records=skipped_records)
     ids: dict[str, int] = {}
     intern = ids.setdefault

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socketserver
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -60,6 +61,43 @@ class FixtureServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+
+
+class OneShotServer(FixtureServer):
+    """Answers one request per connection with the raw bytes
+    `render(path, query)` returns, then closes the connection whatever the
+    response said. A kept-alive client meets it as a server whose idle
+    timeout ran out between two requests.
+
+    Requests are recorded in `requests` as FixtureServer records them.
+    """
+
+    def __init__(self, render: Callable[[str, dict], bytes]):
+        self.requests: list[tuple[str, dict]] = []
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self) -> None:
+                target = self.rfile.readline().split()[1].decode()
+                while self.rfile.readline().strip():  # the headers
+                    pass
+                parsed = urlparse(target)
+                query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
+                outer.requests.append((parsed.path, query))
+                self.wfile.write(render(parsed.path, query))
+
+        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+
+def http11(status: int, payload: object, declared_length: Optional[int] = None) -> bytes:
+    """A raw HTTP/1.1 response with a JSON body and no `Connection` header.
+    `declared_length` overrides the `Content-Length` the response announces."""
+    body = json.dumps(payload).encode()
+    length = len(body) if declared_length is None else declared_length
+    return (f"HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
 
 
 def interval_responder(transactions: list[dict]) -> Responder:

@@ -409,7 +409,7 @@ def test_compare_out_in_missing_directory_fails_before_work(tmp_path, capsys, mo
     def no_work(*args, **kwargs):
         raise AssertionError("compare ran before checking its output directory")
 
-    monkeypatch.setattr("ledgergraph.cli.small_world_compare", no_work)
+    monkeypatch.setattr("ledgergraph.nullmodel.small_world_compare", no_work)
     code = main(["compare", "--in", str(net), "--out", str(tmp_path / "missing" / "c.json")])
     _assert_clean_failure(capsys, "compare", code, 3)
 

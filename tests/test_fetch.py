@@ -15,9 +15,12 @@ from ledgergraph.fetch import (
     policy_from_env,
     resolve_endpoint,
 )
+from ledgergraph.cli import main
 from ledgergraph.records import TransactionRecord, write_dump
 
-from fixture_server import FixtureServer, block_responder, flaky, interval_responder
+from fixture_server import (
+    FixtureServer, OneShotServer, block_responder, flaky, http11, interval_responder,
+)
 
 DAY = 86_400
 T0 = 1_598_918_400  # 2020-09-01T00:00:00Z
@@ -471,11 +474,89 @@ class TestEndpointResolution:
             FetchJob(ledger="ripple", start=0, end=1, source="x", workers=0)
 
 
-def test_only_fetching_imports_requests():
-    # build, analyze, compare and report never load the HTTP client
-    code = ("import sys, ledgergraph.cli, ledgergraph; "
-            "assert 'requests' not in sys.modules; ledgergraph.FetchJob")
+class TestKeptAliveTransport:
+    def test_connection_closed_while_idle_is_resent_at_once(self):
+        txs = [ripple_tx(i, T0 + i) for i in range(250)]
+        serve = interval_responder(txs)
+        pauses = []
+        with OneShotServer(lambda path, query: http11(*serve(path, query))) as server:
+            result = fetch_transactions(ripple_job(server.url), sleep=pauses.append)
+            assert len(server.requests) == 3
+        assert len(result.records) == 250
+        assert pauses == []
+
+    def test_truncated_body_is_retried_after_a_pause(self):
+        txs = [ripple_tx(i, T0 + i) for i in range(3)]
+        serve = interval_responder(txs)
+        answered = []
+
+        def render(path, query):
+            answered.append(path)
+            return http11(*serve(path, query), declared_length=10_000 if len(answered) == 1 else None)
+
+        pauses = []
+        with OneShotServer(render) as server:
+            result = fetch_transactions(ripple_job(server.url), sleep=pauses.append)
+        assert len(result.records) == 3
+        assert pauses == [5.0]
+
+    def test_persistent_truncation_fails_the_range_and_fetch_exits_two(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LEDGERGRAPH_BACKOFF_INITIAL", "0.01")
+        monkeypatch.setenv("LEDGERGRAPH_MAX_RETRIES", "1")
+        truncated = lambda path, query: http11(200, {"transactions": []}, declared_length=10_000)
+        with OneShotServer(truncated) as server:
+            code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01",
+                         "--to", "2020-09-02", "--source", server.url,
+                         "--out", str(tmp_path / "dump.ndjson")])
+            assert len(server.requests) == 2
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "page offset 0: " in err and "unreachable after 1 retries" in err
+
+    def test_redirect_fails_its_range(self):
+        moved = lambda path, query: (302, {}, {"Location": "/elsewhere"})
+        with FixtureServer(moved) as server:
+            client = RetryingClient(BackoffPolicy(), sleep=lambda s: None)
+            with pytest.raises(FetchError, match="returned HTTP 302"):
+                client.get_json(server.url + "/v2/transactions")
+            client.close()
+            assert [path for path, _ in server.requests] == ["/v2/transactions"]
+
+
+def _python_env() -> dict:
     src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_only_fetching_imports_requests(tmp_path):
+    # importing the CLI loads no HTTP client and no numpy; fetch loads no numpy
+    code = ("import sys, ledgergraph.cli, ledgergraph; ledgergraph.FetchJob; "
+            "loaded = {'requests', 'http.client', 'ssl', 'numpy'} & set(sys.modules); "
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=_python_env(), check=True)
+    fetch = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
+             "loaded = {'requests', 'numpy'} & set(sys.modules); assert not loaded, loaded; "
+             "assert 'http.client' in sys.modules; sys.exit(code)")
+    out = tmp_path / "dump.ndjson"
+    with FixtureServer(interval_responder([ripple_tx(i, T0 + i) for i in range(3)])) as server:
+        subprocess.run([sys.executable, "-c", fetch, "fetch", "--ledger", "ripple",
+                        "--from", "2020-09-01", "--to", "2020-09-02", "--source", server.url,
+                        "--out", str(out)], env=_python_env(), check=True)
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_commands_that_never_fetch_load_no_http_client(tmp_path):
+    dump, net, report = tmp_path / "dump.ndjson", tmp_path / "g.net", tmp_path / "r.json"
+    with open(dump, "w") as fh:
+        write_dump([TransactionRecord("ripple", (f"r{i}",), (f"r{(i * 7) % 11}",), T0 + i,
+                                      "Payment") for i in range(40)], fh)
+    code = ("import sys; from ledgergraph.cli import main\n"
+            f"assert main(['build', '--in', {str(dump)!r}, '--out', {str(net)!r}]) == 0\n"
+            f"assert main(['analyze', '--in', {str(net)!r}, '--out', {str(report)!r}]) == 0\n"
+            f"assert main(['compare', '--in', {str(net)!r}, '--out', {str(report)!r}]) == 0\n"
+            f"assert main(['report', '--in', {str(report)!r}]) == 0\n"
+            "loaded = {'requests', 'http.client', 'ssl'} & set(sys.modules)\n"
+            "assert not loaded, loaded")
+    subprocess.run([sys.executable, "-c", code], env=_python_env(), check=True,
+                   stdout=subprocess.DEVNULL)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -279,6 +280,22 @@ class TestBulkConstruction:
         g = DirectedGraph(3, [0, 2], [1, 1], labels=["a", None, "c"])
         assert [g.address_of(v) for v in range(3)] == ["a", None, "c"]
         assert not g.has_labels() and DirectedGraph(1, [], [], ["a"]).has_labels()
+
+    def test_unlabeled_graph_holds_no_address_table(self):
+        # its memory is its two row-pointer arrays; n Nones would add 8 bytes a node
+        n = 200_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = DirectedGraph(n)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < g.fwd_indptr.nbytes + g.rev_indptr.nbytes + 64 * 1024
+        assert g.address_of(n - 1) is None and not g.has_labels()
+        assert DirectedGraph(0).has_labels()  # no node lacks a label
+        sub, _ = induced_subgraph(undirected_projection(DirectedGraph(3, [0], [1])), [0, 1])
+        assert [sub.address_of(v) for v in range(2)] == [None, None]
 
     def test_from_arcs_rejects_ids_out_of_range(self):
         with pytest.raises(ValueError):
