@@ -1,9 +1,13 @@
-"""Command-line front end: fetch -> build -> analyze / compare -> report.
+"""Command-line front end: fetch -> build -> compare -> report.
 
 Each stage reads and writes plain files (NDJSON dump, Pajek graph, JSON
-reports), so a long pipeline can resume at any stage. Reports are
-deterministic for fixed inputs and seeds regardless of --workers; wall
-clock per phase goes to stderr, never into the report files.
+reports), so a long pipeline can resume at any stage. `compare` writes
+what `analyze` writes (the real graph's report, as its `real` section,
+and the degree tables) plus the random twin and sigma, so a window is
+measured by one `compare`; `analyze` is the same command without the
+twin. Reports are deterministic for fixed inputs and seeds regardless of
+--workers; wall clock per phase goes to stderr, never into the report
+files.
 
 Exit codes: 0 success, 1 usage error, 2 fetch failure, 3 data/parse error.
 
@@ -68,20 +72,6 @@ def _require_out_dir(path: str) -> None:
         raise FileNotFoundError(errno.ENOENT, "no such directory", os.path.dirname(path))
 
 
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sample", type=float, default=0.10,
-                   help="node sample fraction for ASPL (default 0.10; 1.0 = exact)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--component", choices=["weak", "strong"], default="weak",
-                   help="main component kind to measure (default weak)")
-    p.add_argument("--undirected", action="store_true",
-                   help="measure path lengths on the undirected projection")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for shortest-path phases (default 1)")
-    p.add_argument("--hubs", type=int, default=10,
-                   help="how many top-degree hubs get a load centrality (default 10)")
-
-
 def build_arg_parser() -> _Parser:
     parser = _Parser(prog="ledgergraph",
                      description="Transaction-graph retrieval and small-world analysis for "
@@ -108,17 +98,25 @@ def build_arg_parser() -> _Parser:
     p.add_argument("--labels", action="store_true",
                    help="write address labels into the Pajek file (bigger output)")
 
-    p = sub.add_parser("analyze", help="compute the metrics report for a Pajek graph")
-    p.add_argument("--in", dest="graph", required=True, help="Pajek file")
-    p.add_argument("--out", required=True, help="metrics report JSON to write")
-    p.add_argument("--stats", help="ingestion stats JSON (carries the edge-reuse ratio)")
-    _add_analysis_flags(p)
-
-    p = sub.add_parser("compare", help="analyze plus a size-matched random-graph comparison")
-    p.add_argument("--in", dest="graph", required=True, help="Pajek file")
-    p.add_argument("--out", required=True, help="small-world report JSON to write")
-    p.add_argument("--stats", help="ingestion stats JSON (carries the edge-reuse ratio)")
-    _add_analysis_flags(p)
+    for name, what, summary in (
+        ("analyze", "metrics report", "compute the metrics report for a Pajek graph"),
+        ("compare", "small-world report", "analyze plus a size-matched random-graph comparison"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--in", dest="graph", required=True, help="Pajek file")
+        p.add_argument("--out", required=True, help=f"{what} JSON to write")
+        p.add_argument("--stats", help="ingestion stats JSON (carries the edge-reuse ratio)")
+        p.add_argument("--sample", type=float, default=0.10,
+                       help="node sample fraction for ASPL (default 0.10; 1.0 = exact)")
+        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        p.add_argument("--component", choices=["weak", "strong"], default="weak",
+                       help="main component kind to measure (default weak)")
+        p.add_argument("--undirected", action="store_true",
+                       help="measure path lengths on the undirected projection")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads for shortest-path phases (default 1)")
+        p.add_argument("--hubs", type=int, default=10,
+                       help="how many top-degree hubs get a load centrality (default 10)")
 
     p = sub.add_parser("report", help="pretty-print a metrics or comparison report")
     p.add_argument("--in", dest="report", required=True, help="report JSON file")
@@ -129,16 +127,15 @@ def build_arg_parser() -> _Parser:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    config = load_config(args.config) if args.config else None
     source = args.source or args.source_file
     api_key = None
-    if source is None or source.startswith(("http://", "https://")):
-        url, api_key = resolve_endpoint(args.ledger, override=source, config=config)
-        source = url
-    try:
+    try:  # a bad --config (unreadable, not JSON, wrong shape) is a usage error too
+        config = load_config(args.config) if args.config else None
+        if source is None or source.startswith(("http://", "https://")):
+            source, api_key = resolve_endpoint(args.ledger, override=source, config=config)
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
                        source=source, workers=args.workers, api_key=api_key)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -199,12 +196,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_graph(path: str):
-    from . import pajek
-    with open(path, encoding="utf-8") as fh:
-        return pajek.read_pajek(fh)
-
-
 def _make_plan(args: argparse.Namespace):
     """The ASPL sample plan; also checks --hubs and --workers."""
     from .metrics import SamplePlan
@@ -235,60 +226,60 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
     return float(value)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    from .metrics import build_metrics_report, histogram_lines
+def _measure(command: str, args: argparse.Namespace, compute) -> int:
+    """The body of `analyze` and `compare`. `compute(graph, plan, edge_reuse)`
+    returns the report, the real graph's MetricsReport in it, and the
+    summary line for stdout; the degree tables come from that MetricsReport."""
+    from . import pajek
+    from .metrics import histogram_lines
     try:
         plan = _make_plan(args)
     except ValueError as exc:
-        print(f"ledgergraph analyze: {exc}", file=sys.stderr)
+        print(f"ledgergraph {command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         _require_out_dir(args.out)
         t0 = time.perf_counter()
-        graph = _load_graph(args.graph)
+        with open(args.graph, encoding="utf-8") as fh:
+            graph = pajek.read_pajek(fh)
         log.info("graph load took %.2fs", time.perf_counter() - t0)
+        edge_reuse = _stats_edge_reuse(args.stats)
         t0 = time.perf_counter()
-        report = build_metrics_report(
-            graph, plan, hub_count=args.hubs, workers=args.workers,
-            edge_reuse_ratio=_stats_edge_reuse(args.stats),
-        )
+        report, real, summary = compute(graph, plan, edge_reuse)
         log.info("metrics took %.2fs", time.perf_counter() - t0)
         _write_text(args.out, _json_bytes(report.to_json_dict()))
         base = args.out[:-5] if args.out.endswith(".json") else args.out
-        hist = report.degree_histogram
+        hist = real.degree_histogram
         _write_text(base + ".degree_in.txt", histogram_lines(hist.in_degree))
         _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))
         _write_text(base + ".degree_total.txt", histogram_lines(hist.total_degree))
     except (ValueError, OSError) as exc:  # PajekParseError is a ValueError
-        print(f"ledgergraph analyze: {exc}", file=sys.stderr)
+        print(f"ledgergraph {command}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    print(f"ACC {report.graph_acc:.6g}, main component ASPL {report.main_component_aspl:.6g}")
+    print(summary)
     return EXIT_OK
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    from .metrics import build_metrics_report
+
+    def compute(graph, plan, edge_reuse):
+        report = build_metrics_report(graph, plan, hub_count=args.hubs, workers=args.workers,
+                                      edge_reuse_ratio=edge_reuse)
+        return report, report, (f"ACC {report.graph_acc:.6g}, "
+                                f"main component ASPL {report.main_component_aspl:.6g}")
+    return _measure("analyze", args, compute)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .nullmodel import small_world_compare
-    try:
-        plan = _make_plan(args)
-    except ValueError as exc:
-        print(f"ledgergraph compare: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        _require_out_dir(args.out)
-        t0 = time.perf_counter()
-        graph = _load_graph(args.graph)
-        log.info("graph load took %.2fs", time.perf_counter() - t0)
-        report = small_world_compare(
-            graph, plan, seed=args.seed, hub_count=args.hubs, workers=args.workers,
-            edge_reuse_ratio=_stats_edge_reuse(args.stats),
-        )
-        _write_text(args.out, _json_bytes(report.to_json_dict()))
-    except (ValueError, OSError) as exc:  # PajekParseError is a ValueError
-        print(f"ledgergraph compare: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"
-    print(f"sigma {sigma}")
-    return EXIT_OK
+
+    def compute(graph, plan, edge_reuse):
+        report = small_world_compare(graph, plan, seed=args.seed, hub_count=args.hubs,
+                                     workers=args.workers, edge_reuse_ratio=edge_reuse)
+        sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"
+        return report, report.real_metrics, f"sigma {sigma}"
+    return _measure("compare", args, compute)
 
 
 def _format_metrics(doc: dict, indent: str = "") -> str:

@@ -222,6 +222,9 @@ def resolve_endpoint(
     env = os.environ if env is None else env
     tag = ledger.upper()
     cfg = (config or {}).get(ledger, {})
+    if not isinstance(cfg, dict) or not all(
+            isinstance(cfg.get(field, ""), str) for field in ("url", "key")):
+        raise ValueError(f"config entry {ledger!r} must be an object of url/key strings")
     url = override or env.get(f"LEDGERGRAPH_{tag}_URL") or cfg.get("url") \
         or explorers.EXPLORER_DEFAULTS[ledger]
     key = env.get(f"LEDGERGRAPH_{tag}_KEY") or cfg.get("key")

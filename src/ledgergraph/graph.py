@@ -142,14 +142,6 @@ class DirectedGraph(Csr):
         """True when every node carries an address label."""
         return self.n == 0 if self._addresses is None else None not in self._addresses
 
-    def successors(self, node: int) -> frozenset[int]:
-        """Distinct successors of `node`."""
-        return frozenset(self.fwd_indices[self.fwd_indptr[node]:self.fwd_indptr[node + 1]].tolist())
-
-    def predecessors(self, node: int) -> frozenset[int]:
-        """Distinct predecessors of `node`."""
-        return frozenset(self.rev_indices[self.rev_indptr[node]:self.rev_indptr[node + 1]].tolist())
-
     def arcs(self) -> Iterator[tuple[int, int]]:
         """All arcs, sorted by (tail, head)."""
         return zip(self.tails.tolist(), self.fwd_indices.tolist())
@@ -205,18 +197,39 @@ def _arc_slots(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray
     return np.repeat(starts - first, counts) + np.arange(total, dtype=np.int64)
 
 
+_THIN = 16  # frontier nodes + arcs up to which a Python step beats a numpy level (measured)
+
+
 def _reach(indptr: np.ndarray, indices: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
     """Mask of the nodes reachable from `seeds`, seeds included, by frontier
-    BFS over one CSR direction (forward: reach, reverse: co-reach)."""
+    BFS over one CSR direction (forward: reach, reverse: co-reach).
+
+    A numpy level costs about 15 calls however small its frontier, so while
+    the frontier holds at most _THIN nodes + arcs (a long path), levels
+    step in plain Python over the CSR slices instead."""
     seen = np.zeros(len(indptr) - 1, dtype=bool)
     seen[seeds] = True
     frontier = np.flatnonzero(seen)
     while frontier.size:
         starts = indptr[frontier]
         counts = indptr[frontier + 1] - starts
-        heads = indices[_arc_slots(starts, counts, int(counts.sum()))]
-        frontier = _distinct(heads[~seen[heads]])
-        seen[frontier] = True
+        total = int(counts.sum())
+        if frontier.size + total > _THIN:
+            heads = indices[_arc_slots(starts, counts, total)]
+            frontier = _distinct(heads[~seen[heads]])
+            seen[frontier] = True
+            continue
+        thin = frontier.tolist()
+        while thin:
+            heads = [w for v in thin for w in indices[indptr[v]:indptr[v + 1]].tolist()]
+            if len(thin) + len(heads) > _THIN:
+                break
+            thin = []
+            for w in heads:
+                if not seen[w]:
+                    seen[w] = True
+                    thin.append(w)
+        frontier = np.array(thin, dtype=np.int64)
     return seen
 
 

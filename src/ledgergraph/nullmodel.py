@@ -106,17 +106,11 @@ def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
         if spec.directed:  # linear index over the n*(n-1) ordered non-loop pairs
             src, off = picks // (n - 1), picks % (n - 1)
             dst = np.where(off < src, off, off + 1)
-        else:
-            # unordered pair index -> (i, j) with i < j
-            i = (0.5 * (2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * picks))).astype(np.int64)
-            # sqrt rounding can land one row off near block boundaries
-            base = i * (2 * n - i - 1) // 2
-            i = np.where(base > picks, i - 1, i)
-            base = i * (2 * n - i - 1) // 2
-            next_base = (i + 1) * (2 * n - i - 2) // 2
-            i = np.where(picks >= next_base, i + 1, i)
-            base = i * (2 * n - i - 1) // 2
-            src, dst = i, picks - base + i + 1
+        else:  # unordered pair index -> (i, j) with i < j; row i starts at base[i]
+            rows = np.arange(n, dtype=np.int64)
+            base = rows * (2 * n - rows - 1) // 2
+            src = np.searchsorted(base, picks, side="right") - 1
+            dst = picks - base[src] + src + 1
     if not spec.directed:
         src, dst = np.stack((src, dst), axis=1).ravel(), np.stack((dst, src), axis=1).ravel()
     return DirectedGraph(n, src, dst)

@@ -145,11 +145,6 @@ def read_dump_lenient(stream: IO[str]) -> tuple[list[TransactionRecord], int]:
     return kept, len(records) - len(kept)
 
 
-def _dedupe(addresses: tuple[str, ...]) -> list[str]:
-    # first-seen order, so edge emission stays deterministic
-    return list(dict.fromkeys(addresses))
-
-
 def map_to_edges(record: TransactionRecord) -> list[tuple[str, str]]:
     """Per-ledger mapping from one transaction to sender->recipient pairs.
 
@@ -158,9 +153,8 @@ def map_to_edges(record: TransactionRecord) -> list[tuple[str, str]]:
     pair; Ripple only for payments, since its other transaction kinds move
     no funds between two parties.
     """
-    if record.ledger in UTXO_LEDGERS:
-        senders = _dedupe(record.senders)
-        recipients = _dedupe(record.recipients)
+    if record.ledger in UTXO_LEDGERS:  # first-seen order keeps edge emission deterministic
+        senders, recipients = dict.fromkeys(record.senders), dict.fromkeys(record.recipients)
         return [(s, r) for s in senders for r in recipients]
     if record.ledger == "ripple" and record.tx_kind != RIPPLE_PAYMENT:
         return []

@@ -302,6 +302,22 @@ def test_fetch_config_file_endpoint(tmp_path):
     assert len(out.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("config", [None, "{not json", "[1]", '{"ripple": 5}',
+                                    '{"ripple": {"url": 5}}'],
+                         ids=["missing", "not-json", "not-an-object", "entry-not-an-object",
+                              "url-not-a-string"])
+def test_fetch_bad_config_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+                 "--out", str(tmp_path / "w.ndjson"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("ledgergraph fetch: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "w.ndjson").exists()
+
+
 def test_fetch_local_file_rewindow(tmp_path, capsys):
     dump = tmp_path / "all.ndjson"
     write_fixture_dump(dump, count=20)

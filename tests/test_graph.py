@@ -88,7 +88,7 @@ class TestComponents:
                 queue = deque([start])
                 while queue:
                     u = queue.popleft()
-                    for v in g.successors(u):
+                    for v in out_of(g, u):
                         if v not in seen:
                             seen.add(v)
                             queue.append(v)
@@ -216,6 +216,41 @@ class TestStrongFastPath:
         expected = sorted(set(g.arcs()) | {(b, a) for a, b in g.arcs()})
         assert list(zip(sym.tails.tolist(), sym.fwd_indices.tolist())) == expected
 
+
+def long_path_case(name):
+    """Graphs whose forward-backward pass walks one node per level."""
+    if name == "long_cycle":
+        n = 3000
+        return graph_from([(i, (i + 1) % n) for i in range(n)] + [(n, 5), (7, n + 1)], n=n + 2)
+    assert name == "hub_with_long_chain"
+    spokes, chain = 300, 2000
+    arcs = [(0, v) for v in range(1, spokes + 1)] + [(v, 0) for v in range(1, spokes + 1, 2)]
+    path = [0] + list(range(spokes + 1, spokes + 1 + chain))
+    arcs += list(zip(path, path[1:])) + [(path[-1], 0), (path[chain // 2], spokes + chain + 1)]
+    return graph_from(arcs, n=spokes + chain + 2)
+
+
+class TestLongPaths:
+    @pytest.mark.parametrize("name", ["long_cycle", "hub_with_long_chain"])
+    def test_strong_labels_match_tarjan(self, name):
+        g = long_path_case(name)
+        got = graph_module._strong_labels(g)
+        assert got.tolist() == graph_module._tarjan_labels(g).tolist()
+        assert Counter(got.tolist()).most_common(1)[0][1] > 2000
+
+    @pytest.mark.parametrize("thin", [0, 1_000_000])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_python_and_numpy_steps_reach_the_same_nodes(self, monkeypatch, thin, seed):
+        g = random_digraph(200, 260, seed)
+        seeds = [seed, 3 * seed + 1]
+        expected = [graph_module._reach(g.fwd_indptr, g.fwd_indices, seeds),
+                    graph_module._reach(g.rev_indptr, g.rev_indices, seeds)]
+        monkeypatch.setattr(graph_module, "_THIN", thin)  # every level one way
+        got = [graph_module._reach(g.fwd_indptr, g.fwd_indices, seeds),
+               graph_module._reach(g.rev_indptr, g.rev_indices, seeds)]
+        assert [m.tolist() for m in got] == [m.tolist() for m in expected]
+
+
 class TestProjectionAndSubgraph:
     def test_projection_symmetric(self):
         g = graph_from([(0, 1)])
@@ -241,6 +276,16 @@ class TestProjectionAndSubgraph:
         assert [sub.address_of(i) for i in range(2)] == ["b", "c"]
 
 
+def out_of(g, v):
+    """Heads of v's arcs, read from the forward CSR slice."""
+    return g.fwd_indices[g.fwd_indptr[v]:g.fwd_indptr[v + 1]].tolist()
+
+
+def into(g, v):
+    """Tails of the arcs into v, read from the reverse CSR slice."""
+    return g.rev_indices[g.rev_indptr[v]:g.rev_indptr[v + 1]].tolist()
+
+
 def same_as_counted(g, n, src, dst):
     """Check `g` against the submissions counted with a plain Counter: a
     self-loop is only counted, any other pair is one submission of its arc."""
@@ -252,8 +297,8 @@ def same_as_counted(g, n, src, dst):
     assert list(g.arcs()) == sorted(counts)
     assert g.edge_reuse_ratio() == ((submitted - len(counts)) / submitted if submitted else 0.0)
     for v in range(n):
-        assert g.successors(v) == {b for a, b in counts if a == v}
-        assert g.predecessors(v) == {a for a, b in counts if b == v}
+        assert out_of(g, v) == sorted(b for a, b in counts if a == v)
+        assert into(g, v) == sorted(a for a, b in counts if b == v)
 
 
 class TestBulkConstruction:
@@ -312,7 +357,7 @@ class TestBulkConstruction:
         assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0)]
         # five submissions: one self-loop, and (0, 1) twice
         assert (g.pair_submissions, g.self_loop_count, g.edge_reuse_ratio()) == (4, 1, 1 / 4)
-        assert g.successors(0) == {1} and g.predecessors(0) == {2}
+        assert out_of(g, 0) == [1] and into(g, 0) == [2]
         # the graph is its own Csr: forward arcs by (tail, head), reverse by (head, tail)
         assert (g.tails.tolist(), g.fwd_indices.tolist()) == ([0, 1, 2], [1, 2, 0])
         assert (g.fwd_indptr.tolist(), g.rev_indptr.tolist()) == ([0, 1, 2, 3, 3], [0, 1, 2, 3, 3])

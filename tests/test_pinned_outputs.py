@@ -1,5 +1,6 @@
 """Byte-level pins of `build`, `analyze` and `compare` outputs, of what
-`read_pajek` returns for unusual documents, and of the G(n, m) draw.
+`read_pajek` returns for unusual documents, and of the G(n, m) draw; and
+the check that `compare` writes what `analyze` writes for the real graph.
 
 The digests were written against the set-based graph and analysis and must
 survive any change to how the graph is stored or the metrics are
@@ -8,6 +9,7 @@ kernel that computes the same numbers writes the same bytes.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -93,6 +95,18 @@ def test_analyze_outputs_pinned(tmp_path, name, flags, expected):
     got = [_sha(out)] + [_sha(tmp_path / f"r.degree_{kind}.txt")
                          for kind in ("in", "out", "total")]
     assert got == expected
+
+
+@pytest.mark.parametrize("name,flags", [(name, flags) for name, flags, _ in ANALYZE_CASES])
+def test_compare_writes_what_analyze_writes(tmp_path, name, flags):
+    net = _write_graph(tmp_path, name)
+    assert main(["analyze", "--in", str(net), "--out", str(tmp_path / "r.json"), *flags]) == 0
+    assert main(["compare", "--in", str(net), "--out", str(tmp_path / "c.json"), *flags]) == 0
+    for kind in ("in", "out", "total"):
+        table = f"degree_{kind}.txt"
+        assert (tmp_path / f"c.{table}").read_bytes() == (tmp_path / f"r.{table}").read_bytes()
+    real = json.loads((tmp_path / "c.json").read_text())["real"]
+    assert real == json.loads((tmp_path / "r.json").read_text())
 
 
 COMPARE_CASES = [

@@ -148,11 +148,11 @@ class TestBuildGraph:
         month = day + stream(2, 200)
         def degrees(records):
             graph, _ = build_graph(records)
-            out = {}
-            for v in range(graph.node_count):
-                nbrs = graph.successors(v) | graph.predecessors(v)
-                out[graph.address_of(v)] = len(nbrs)
-            return out
+            nbrs = {v: set() for v in range(graph.node_count)}
+            for a, b in graph.arcs():
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            return {graph.address_of(v): len(nbrs[v]) for v in nbrs}
         day_deg = degrees(day)
         month_deg = degrees(month)
         for addr, deg in day_deg.items():
