@@ -11,7 +11,7 @@ files.
 
 Exit codes: 0 success, 1 usage error, 2 fetch failure, 3 data/parse error.
 
-The numpy-backed modules are imported by the commands that use them.
+The numpy-backed modules and `fetch` are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ import time
 from typing import Optional
 
 from . import __version__
-from .fetch import FetchError, FetchJob, fetch_transactions, load_config, resolve_endpoint
-from .records import LEDGERS, RecordSchemaError, build_graph, read_dump_lenient, write_dump
+from .records import LEDGERS, RecordSchemaError, ingest_dump, write_dump
 
 log = logging.getLogger("ledgergraph")
 
@@ -64,6 +63,18 @@ def _json_bytes(payload: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object file `path` holds; a ValueError naming it otherwise."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def _require_out_dir(path: str) -> None:
@@ -127,10 +138,11 @@ def build_arg_parser() -> _Parser:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
+    from .fetch import FetchError, FetchJob, fetch_transactions, resolve_endpoint
     source = args.source or args.source_file
     api_key = None
     try:  # a bad --config (unreadable, not JSON, wrong shape) is a usage error too
-        config = load_config(args.config) if args.config else None
+        config = _json_object(args.config, "config file") if args.config else None
         if source is None or source.startswith(("http://", "https://")):
             source, api_key = resolve_endpoint(args.ledger, override=source, config=config)
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
@@ -174,23 +186,25 @@ def cmd_build(args: argparse.Namespace) -> int:
     from . import pajek
     try:
         _require_out_dir(args.out)
+        t0 = time.perf_counter()
         with open(args.dump, encoding="utf-8") as fh:
-            records, skipped = read_dump_lenient(fh)
+            addresses, keys, stats = ingest_dump(fh)
     except (RecordSchemaError, OSError) as exc:
         print(f"ledgergraph build: {exc}", file=sys.stderr)
         return EXIT_DATA
+    log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,
+             stats.skipped_records, stats.unique_arcs, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    graph, stats = build_graph(records, skipped_records=skipped)
-    log.info("graph build took %.2fs", time.perf_counter() - t0)
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            pajek.write_pajek(graph, fh, include_labels=args.labels)
+            pajek.write_arc_keys(fh, stats.nodes, keys, addresses if args.labels else None)
         _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
     except (ValueError, OSError) as exc:  # an address Pajek cannot quote, or a failed write
         if os.path.isfile(args.out):
             os.remove(args.out)
         print(f"ledgergraph build: {exc}", file=sys.stderr)
         return EXIT_DATA
+    log.info("Pajek write took %.2fs", time.perf_counter() - t0)
     print(f"{stats.nodes} nodes, {stats.unique_arcs} arcs from {stats.transactions} "
           f"transactions ({stats.skipped_records} skipped lines)")
     return EXIT_OK
@@ -212,13 +226,7 @@ def _make_plan(args: argparse.Namespace):
 
 
 def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
-    if not path:
-        return None
-    with open(path, encoding="utf-8") as fh:
-        stats = json.load(fh)
-    if not isinstance(stats, dict):
-        raise ValueError(f"{path}: stats must be a JSON object")
-    value = stats.get("edge_reuse_ratio")
+    value = _json_object(path, "stats").get("edge_reuse_ratio") if path else None
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
@@ -239,11 +247,11 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
         return EXIT_USAGE
     try:
         _require_out_dir(args.out)
+        edge_reuse = _stats_edge_reuse(args.stats)
         t0 = time.perf_counter()
         with open(args.graph, encoding="utf-8") as fh:
             graph = pajek.read_pajek(fh)
         log.info("graph load took %.2fs", time.perf_counter() - t0)
-        edge_reuse = _stats_edge_reuse(args.stats)
         t0 = time.perf_counter()
         report, real, summary = compute(graph, plan, edge_reuse)
         log.info("metrics took %.2fs", time.perf_counter() - t0)
@@ -322,10 +330,8 @@ def _format_report(doc: dict) -> str:
 
 def cmd_report(args: argparse.Namespace) -> int:
     try:
-        with open(args.report, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        text = _format_report(doc)
-    except (OSError, ValueError) as exc:  # ValueError includes a JSON syntax error
+        text = _format_report(_json_object(args.report, "report"))
+    except (OSError, ValueError) as exc:
         print(f"ledgergraph report: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (KeyError, TypeError, AttributeError) as exc:  # a field missing or of the wrong type

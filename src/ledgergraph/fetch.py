@@ -231,14 +231,6 @@ def resolve_endpoint(
     return url, key
 
 
-def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object keyed by ledger")
-    return cfg
-
-
 # -- shared by both retrieval shapes -----------------------------------------
 
 

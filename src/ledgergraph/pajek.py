@@ -12,21 +12,24 @@ of two 40-character hex strings. Only the subset we emit is supported:
     *Edges             (accepted on read; each line adds both directions)
     a b
 
-Files are UTF-8 with LF line endings. The writer emits the arc lines from
-the graph's forward CSR, sorted by (tail, head), so output is byte-stable
-for a given graph. The reader parses an arc block laid out that way with
-numpy; the lines before it, and any other document, go through a line
+Files are UTF-8 with LF line endings. Arc lines are written sorted by (tail,
+head), so output is byte-stable for a given graph; `write_arc_keys` needs
+only the standard library. The reader parses an arc block laid out that way
+with numpy; the lines before it, and any other document, go through a line
 parser, which also names the first bad line of a malformed document.
 """
 
 from __future__ import annotations
 
 import io
-from typing import IO, Iterator, Optional
+from array import array
+from itertools import repeat
+from operator import and_, rshift
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
-from .graph import DirectedGraph
+if TYPE_CHECKING:
+    import numpy as np
+    from .graph import DirectedGraph
 
 _LINE_CHUNK = 1 << 16  # arc endpoints rendered per string
 
@@ -46,19 +49,27 @@ def write_pajek(graph: DirectedGraph, stream: IO[str], include_labels: bool = Fa
     every node must then carry a label. Labels are off by default: that is
     where the format's space saving comes from.
     """
-    n = graph.node_count
-    stream.write(f"*Vertices {n}\n")
-    if include_labels:
-        if not graph.has_labels():
-            raise ValueError("cannot write labels: graph has unlabeled nodes")
-        for node in range(n):
-            label = graph.address_of(node)
-            assert label is not None
-            if '"' in label or "\n" in label or "\r" in label:
-                raise ValueError(f"label {label!r} contains characters Pajek cannot quote")
-            stream.write(f'{node + 1} "{label}"\n')
+    if include_labels and not graph.has_labels():
+        raise ValueError("cannot write labels: graph has unlabeled nodes")
+    keys = (graph.tails + 1) << 32 | (graph.fwd_indices + 1)
+    write_arc_keys(stream, graph.node_count, keys.tolist(),
+                   map(graph.address_of, range(graph.node_count)) if include_labels else None)
+
+
+def write_arc_keys(stream: IO[str], node_count: int, keys: Sequence[int],
+                   labels: Optional[Iterable[str]] = None) -> None:
+    """Write `node_count` nodes, with `labels` as vertex lines if given, and
+    the arcs of the sorted keys tail << 32 | head (1-based vertex numbers)."""
+    stream.write(f"*Vertices {node_count}\n")
+    for node, label in enumerate(labels or (), start=1):
+        if '"' in label or "\n" in label or "\r" in label:
+            raise ValueError(f"label {label!r} contains characters Pajek cannot quote")
+        stream.write(f'{node} "{label}"\n')
     stream.write("*Arcs\n")
-    stream.writelines(_arc_lines(np.column_stack((graph.tails, graph.fwd_indices)).ravel() + 1))
+    ends = array("q", bytes(16 * len(keys)))  # tail, head, tail, head, ...
+    ends[0::2] = array("q", map(rshift, keys, repeat(32)))
+    ends[1::2] = array("q", map(and_, keys, repeat(0xFFFFFFFF)))
+    stream.writelines(_arc_lines(ends))
 
 
 def dumps(graph: DirectedGraph, include_labels: bool = False) -> str:
@@ -95,6 +106,7 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
     `*Edges` sections are treated as symmetric arcs. Raises
     PajekParseError (with the offending line number) on malformed input.
     """
+    from .graph import DirectedGraph
     text = stream.read()
     head, marker, block = text.partition("\n*Arcs\n")
     n, ends, labels = _read_lines(io.StringIO(head + marker))  # all of it if no marker
@@ -109,6 +121,7 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
 def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
     """The 1-based endpoints of an arc block laid out exactly as
     `write_pajek` lays one out, all in 1..n; None for any other block."""
+    import numpy as np
     if block.encode().translate(None, b"0123456789 \n"):
         return None  # np.fromstring would stop at the first other character
     ends = np.fromstring(block, dtype=np.int64, sep=" ")
@@ -117,7 +130,7 @@ def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
     return ends if not len(ends) or 1 <= ends.min() <= ends.max() <= n else None
 
 
-def _arc_lines(ends: np.ndarray) -> Iterator[str]:
+def _arc_lines(ends: np.ndarray | array) -> Iterator[str]:
     """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2], a
     bounded number at a time, so few endpoints are Python ints at once."""
     for start in range(0, len(ends), _LINE_CHUNK):
@@ -129,6 +142,7 @@ def _read_lines(stream: IO[str]) -> tuple[int, np.ndarray, Optional[list[str]]]:
     """Node count, 1-based arc endpoints and labels of any document of the
     subset, parsed line by line; raises PajekParseError at the first bad
     line."""
+    import numpy as np
     lines: Iterator[tuple[int, str]] = (
         (i, line.rstrip("\n").rstrip("\r")) for i, line in enumerate(stream, start=1)
     )

@@ -128,6 +128,19 @@ def test_build_hard_schema_error_exits_three(tmp_path):
     assert main(["build", "--in", str(dump), "--out", str(tmp_path / "g.net")]) == 3
 
 
+def test_build_late_schema_error_leaves_no_output(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump, count=4999)
+    with open(dump, "a") as fh:
+        fh.write('{"ledger": "ripple", "senders": ["a"], "recipients": ["b"], '
+                 '"timestamp": "noon", "tx_kind": "Payment"}\n')
+    net = tmp_path / "g.net"
+    assert main(["build", "--in", str(dump), "--out", str(net)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ledgergraph build: line 5000: timestamp must be a number")
+    assert not net.exists() and not (tmp_path / "g.net.stats.json").exists()
+
+
 def test_analyze_empty_main_component_exits_three(tmp_path, capsys):
     net = tmp_path / "lonely.net"
     net.write_text("*Vertices 1\n*Arcs\n")
@@ -394,6 +407,39 @@ def test_stats_not_an_object_with_a_number_exits_three(tmp_path, capsys, command
                  "--stats", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"ledgergraph {command}: {path}: ") and not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,expected", [
+    ("compare", "--stats", 3), ("analyze", "--stats", 3), ("fetch", "--config", 1)])
+def test_file_that_is_not_json_is_named(tmp_path, capsys, command, flag, expected):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    net = tmp_path / "triangle.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    out = tmp_path / "out.json"
+    if command == "fetch":
+        argv = ["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02"]
+    else:
+        argv = [command, "--in", str(net), "--sample", "1.0"]
+    assert main([*argv, "--out", str(out), flag, str(bad)]) == expected
+    err = capsys.readouterr().err
+    assert err == f"ledgergraph {command}: {bad}: not valid JSON " \
+                  "(Expecting value: line 1 column 1 (char 0))\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_stats_is_checked_before_the_graph_is_read(tmp_path, capsys, monkeypatch, command):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the graph was read before --stats was checked")
+
+    monkeypatch.setattr("ledgergraph.pajek.read_pajek", no_read)
+    stats = tmp_path / "stats.json"
+    stats.write_text('{"edge_reuse_ratio": 7}')
+    code = main([command, "--in", str(tmp_path / "g.net"), "--out", str(tmp_path / "r.json"),
+                 "--stats", str(stats)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"ledgergraph {command}: {stats}: ")
 
 
 def _assert_clean_failure(capsys, command, code, expected):

@@ -560,3 +560,22 @@ def test_commands_that_never_fetch_load_no_http_client(tmp_path):
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=_python_env(), check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def test_build_and_report_load_neither_numpy_nor_fetch(tmp_path):
+    dump, net, report = tmp_path / "dump.ndjson", tmp_path / "g.net", tmp_path / "r.json"
+    with open(dump, "w") as fh:
+        write_dump([TransactionRecord("ripple", (f"r{i}",), (f"r{(i * 7) % 11}",), T0 + i,
+                                      "Payment") for i in range(40)], fh)
+    code = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
+            "loaded = {'numpy', 'ledgergraph.graph', 'ledgergraph.fetch', 'http.client', "
+            "'ssl'} & set(sys.modules); assert not loaded, loaded; sys.exit(code)")
+
+    def child(*argv):
+        subprocess.run([sys.executable, "-c", code, *argv], env=_python_env(), check=True,
+                       stdout=subprocess.DEVNULL)
+
+    child("build", "--in", str(dump), "--out", str(net), "--labels")
+    child("build", "--in", str(dump), "--out", str(net))
+    assert main(["analyze", "--in", str(net), "--out", str(report), "--hubs", "0"]) == 0
+    child("report", "--in", str(report))

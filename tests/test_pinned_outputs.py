@@ -19,7 +19,7 @@ from ledgergraph.graph import DirectedGraph
 from ledgergraph.nullmodel import RandomGraphSpec, erdos_renyi
 from ledgergraph.pajek import dumps as pajek_dumps
 from ledgergraph.pajek import loads as pajek_loads
-from ledgergraph.records import TransactionRecord, write_dump
+from ledgergraph.records import TransactionRecord, build_graph, read_dump_lenient, write_dump
 
 from synth import graph_from, multi_component_digraph, watts_strogatz
 
@@ -216,6 +216,22 @@ def test_build_outputs_pinned(tmp_path, case, expected):
     assert stats[0] == stats[1]
     got.append(hashlib.sha256(stats[0]).hexdigest())
     assert got == expected
+
+
+@pytest.mark.parametrize("case", [case for case, _ in BUILD_CASES])
+@pytest.mark.parametrize("labels", [False, True])
+def test_build_writes_what_build_graph_builds(tmp_path, case, labels):
+    dump, net = tmp_path / "dump.ndjson", tmp_path / "g.net"
+    mixed_dump(dump, *case)
+    assert main(["build", "--in", str(dump), "--out", str(net),
+                 *(["--labels"] if labels else [])]) == 0
+    with open(dump) as fh:
+        graph, stats = build_graph(*read_dump_lenient(fh))
+    assert net.read_text() == pajek_dumps(graph, include_labels=labels)
+    written = (tmp_path / "g.net.stats.json").read_text()
+    assert written == json.dumps(stats.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert graph.edge_reuse_ratio() == json.loads(written)["edge_reuse_ratio"]
+    assert graph.self_loop_count == stats.self_loops
 
 
 NO3, NO4 = [None] * 3, [None] * 4
