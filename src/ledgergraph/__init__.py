@@ -5,6 +5,7 @@ process that only fetches never imports numpy.
 """
 
 import importlib
+from typing import Callable, Sequence
 
 __version__ = "0.1.0"
 
@@ -37,3 +38,14 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
     globals()[name] = value
     return value
+
+
+def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> list:
+    """Run fn over tasks; results always come back in task order. `fetch`
+    and `metrics` share it; one worker or task loads no thread pool."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, t) for t in tasks]
+        return [f.result() for f in futures]

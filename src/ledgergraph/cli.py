@@ -166,6 +166,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 print(f"  failed: {rng}", file=sys.stderr)
             return EXIT_FETCH
         _write_dump_sorted(result.records, args.out)
+    except RecordSchemaError as exc:  # a local dump that is not in the dump format
+        print(f"ledgergraph fetch: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_FETCH

@@ -25,6 +25,7 @@ which any fixture or proxy can implement:
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from typing import Optional
 
 from .records import TransactionRecord
@@ -43,8 +44,8 @@ class PayloadError(ValueError):
 
 
 def _as_timestamp(value: object, what: str) -> int:
-    if isinstance(value, bool):
-        raise PayloadError(f"{what} must be a timestamp")
+    if isinstance(value, bool) or isinstance(value, float) and not math.isfinite(value):
+        raise PayloadError(f"{what} must be a timestamp, got {value!r}")
     if isinstance(value, (int, float)):
         return int(value)
     if isinstance(value, str):

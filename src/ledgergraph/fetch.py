@@ -5,12 +5,14 @@ APIs drift) or an HTTP explorer speaking the layout in `explorers`. The
 fetch stage is the only part of the pipeline that talks to the network;
 everything downstream consumes TransactionRecords.
 
-Both HTTP shapes run their requests through `_run_ordered` (the one
-ordered task runner; `metrics` uses it too) and merge the outcomes in task
-order. Ripple pages go in rounds of `workers` consecutive offsets, parsed
-in offset order on the calling thread, until the first short page or a
-round with a failed page. Blocks go in chunks of `_BLOCKS_PER_TASK`, each
-with its own client. This module loads no numpy, and no `http.client` or
+An HTTP fetch gives each of its `workers` fetchers one client for the
+whole window, and closes them all at the end. Both HTTP shapes run their
+requests through the package's `_run_ordered` and merge the outcomes in
+task order. Ripple pages go in rounds of `workers` consecutive offsets,
+parsed in offset order on the calling thread, until the first short page
+or a round with a failed page. The block search runs on the first client;
+then fetcher `s` walks chunks `s, s + workers, ...` of `_BLOCKS_PER_TASK`
+blocks in order. This module loads no numpy, and no `http.client` or
 `ssl` until the first request.
 
 Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
@@ -24,11 +26,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from . import explorers
+from . import _run_ordered, explorers
 from .records import LEDGERS, TransactionRecord, read_dump_lenient
 
 PAGE_SIZE = 100  # the Ripple history service caps responses at 100
@@ -39,15 +40,6 @@ _BLOCKS_PER_TASK = 8
 # early stamp within about 2 h at 10-min spacing
 _BLOCK_TIME_SKEW = 7_200
 _HEADERS = {"Accept": "application/json", "User-Agent": "ledgergraph"}
-
-
-def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> list:
-    """Run fn over tasks; results always come back in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 class FetchError(Exception):
@@ -108,7 +100,6 @@ class FetchJob:
 class FetchResult:
     records: list[TransactionRecord] = field(default_factory=list)
     skipped_payloads: int = 0
-    failed_ranges: list[str] = field(default_factory=list)
 
 
 class RetryingClient:
@@ -283,10 +274,11 @@ def _merge(
     merged records as its partial result.
     """
     result = FetchResult()
+    failed: list[str] = []
     seen: set = set()
     for name, outcome in outcomes:
         if isinstance(outcome, FetchError):
-            result.failed_ranges.append(f"{name}: {outcome}")
+            failed.append(f"{name}: {outcome}")
             continue
         pairs, skipped = outcome
         result.skipped_payloads += skipped
@@ -294,20 +286,18 @@ def _merge(
             if key not in seen:
                 seen.add(key)
                 result.records.append(record)
-    if result.failed_ranges:
-        message = f"{len(result.failed_ranges)} {unit} failed"
-        result.failed_ranges.extend(unrequested)
-        raise FetchError(message, result.failed_ranges, partial=result)
+    if failed:
+        raise FetchError(f"{len(failed)} {unit} failed", failed + list(unrequested),
+                         partial=result)
     return result
 
 
 # -- ripple: offset pages over a time window, one round of `workers` at a time
 
 
-def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) -> FetchResult:
+def _fetch_interval(job: FetchJob, clients: list[RetryingClient]) -> FetchResult:
     url = explorers.interval_url(job.source)
     window = f"{job.ledger} [{job.start}, {job.end})"
-    clients = [make_client() for _ in range(job.workers)]
 
     def get_page(task: tuple[int, int]) -> object:
         slot, offset = task
@@ -318,36 +308,27 @@ def _fetch_interval(job: FetchJob, make_client: Callable[[], RetryingClient]) ->
         except FetchError as exc:
             return exc
 
-    try:
-        outcomes: list[tuple[str, object]] = []
-        offset = 0
-        while True:
-            tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
-            offset += job.workers * PAGE_SIZE
-            failed = False
-            for (_, at), txs in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
-                name = f"{window} page offset {at}"
-                if isinstance(txs, FetchError):
-                    outcomes.append((name, txs))
-                    failed = True
-                    continue
-                outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
-                if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
-                    return _merge(outcomes, "page(s)")
-            if failed:  # the window's end was never seen
-                return _merge(outcomes, "page(s)",
-                              (f"{window} page offsets from {offset} on: not requested",))
-    finally:
-        for client in clients:
-            client.close()
+    outcomes: list[tuple[str, object]] = []
+    offset = 0
+    while True:
+        tasks = [(slot, offset + slot * PAGE_SIZE) for slot in range(job.workers)]
+        offset += job.workers * PAGE_SIZE
+        failed = False
+        for (_, at), txs in zip(tasks, _run_ordered(tasks, get_page, job.workers)):
+            name = f"{window} page offset {at}"
+            if isinstance(txs, FetchError):
+                outcomes.append((name, txs))
+                failed = True
+                continue
+            outcomes.append((name, _keyed_records(job, txs, explorers.parse_ripple_tx)))
+            if len(txs) < PAGE_SIZE:  # the end of the data; later pages are moot
+                return _merge(outcomes, "page(s)")
+        if failed:  # the window's end was never seen
+            return _merge(outcomes, "page(s)",
+                          (f"{window} page offsets from {offset} on: not requested",))
 
 
 # -- block-oriented ledgers ---------------------------------------------------
-
-
-def _block_time(client: RetryingClient, base: str, height: int) -> int:
-    url = explorers.header_url(base, height)
-    return _field(client.get_json(url), "time", int, url)
 
 
 def _lower_bound_block(
@@ -363,15 +344,16 @@ def _lower_bound_block(
     lo, hi = 0, latest + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _block_time(client, base, mid) >= threshold:
+        url = explorers.header_url(base, mid)
+        if _field(client.get_json(url), "time", int, url) >= threshold:
             hi = mid
         else:
             lo = mid + 1
     return lo
 
 
-def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> FetchResult:
-    base, probe = job.source, make_client()
+def _fetch_blocks(job: FetchJob, clients: list[RetryingClient]) -> FetchResult:
+    base, probe = job.source, clients[0]
     try:
         url = explorers.latest_url(base)
         latest = _field(probe.get_json(url), "height", int, url)
@@ -380,15 +362,12 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
     except FetchError as exc:  # the whole window is left to re-run
         window = f"{job.ledger} [{job.start}, {job.end})"
         raise FetchError("block search failed", [f"{window} block search: {exc}"]) from exc
-    finally:
-        probe.close()
     chunks = [
         range(lo, min(lo + _BLOCKS_PER_TASK, past))
         for lo in range(first, past, _BLOCKS_PER_TASK)
     ]
 
-    def fetch_chunk(blocks: range) -> object:
-        client = make_client()
+    def fetch_chunk(client: RetryingClient, blocks: range) -> object:
         pairs: list[tuple[object, TransactionRecord]] = []
         skipped = 0
         try:
@@ -403,11 +382,13 @@ def _fetch_blocks(job: FetchJob, make_client: Callable[[], RetryingClient]) -> F
                 skipped += bad
         except FetchError as exc:
             return exc
-        finally:
-            client.close()
         return pairs, skipped
 
-    outcomes = _run_ordered(chunks, fetch_chunk, job.workers)
+    def fetch_share(slot: int) -> list:  # chunks slot, slot + workers, ... in order
+        return [fetch_chunk(clients[slot], c) for c in chunks[slot::job.workers]]
+
+    shares = _run_ordered(range(min(job.workers, len(chunks))), fetch_share, job.workers)
+    outcomes = [shares[i % job.workers][i // job.workers] for i in range(len(chunks))]
     names = [f"{job.ledger} blocks [{c.start}, {c.stop})" for c in chunks]
     return _merge(list(zip(names, outcomes)), "block range(s)")
 
@@ -435,10 +416,10 @@ def fetch_transactions(
         return FetchResult(records=kept, skipped_payloads=skipped)
 
     policy = policy or policy_from_env()
-
-    def make_client() -> RetryingClient:
-        return RetryingClient(policy, sleep=sleep, api_key=job.api_key)
-
-    if job.ledger == "ripple":
-        return _fetch_interval(job, make_client)
-    return _fetch_blocks(job, make_client)
+    clients = [RetryingClient(policy, sleep=sleep, api_key=job.api_key)
+               for _ in range(job.workers)]
+    try:
+        return (_fetch_interval if job.ledger == "ripple" else _fetch_blocks)(job, clients)
+    finally:
+        for client in clients:
+            client.close()

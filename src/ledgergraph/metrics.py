@@ -42,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fetch import _run_ordered
+from . import _run_ordered
 from .graph import Csr, _arc_slots, _distinct, _masked_arcs, _reach
 
 _BITS = 64  # BFS sources per bitset batch

@@ -15,6 +15,7 @@ serves `ingest_dump` (a dump to sorted arc keys, standard library only) and
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import asdict, dataclass
 from itertools import count, groupby
@@ -87,7 +88,8 @@ def record_from_json_dict(obj: object) -> TransactionRecord:
         raise RecordSchemaError(f"missing field {exc.args[0]!r}") from None
     if not isinstance(senders, list) or not isinstance(recipients, list):
         raise RecordSchemaError("senders and recipients must be JSON arrays")
-    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)):
+    if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)) \
+            or isinstance(timestamp, float) and not math.isfinite(timestamp):  # NaN, Infinity
         raise RecordSchemaError("timestamp must be a number (unix seconds)")
     tx_kind = obj.get("tx_kind", "")
     if not isinstance(tx_kind, str):

@@ -342,6 +342,34 @@ def test_fetch_local_file_rewindow(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5"
 
 
+def test_fetch_local_dump_schema_error_exits_three(tmp_path, capsys):
+    dump = tmp_path / "bad.ndjson"
+    dump.write_text('{"ledger": "nope", "senders": ["a"], "recipients": ["b"], '
+                    '"timestamp": 1598918400, "tx_kind": "Payment"}\n')
+    out = tmp_path / "window.ndjson"
+    code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+                 "--out", str(out), "--in", str(dump)])
+    assert code == 3
+    assert capsys.readouterr().err == "ledgergraph fetch: line 1: unknown ledger 'nope'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "fetch"])
+@pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_dump_timestamp_exits_three(tmp_path, capsys, command, stamp):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump, count=3)
+    with open(dump, "a") as fh:
+        fh.write('{"ledger": "ripple", "senders": ["a"], "recipients": ["b"], '
+                 f'"timestamp": {stamp}, "tx_kind": "Payment"}}\n')
+    window = ["--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02"]
+    argv = [command, *(window if command == "fetch" else []), "--in", str(dump),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"ledgergraph {command}: line 4: "
+                                       "timestamp must be a number (unix seconds)\n")
+
+
 def test_report_on_metrics_json(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     write_fixture_dump(dump)

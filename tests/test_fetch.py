@@ -261,6 +261,15 @@ class TestIntervalSemantics:
         assert len(result.records) == 2
         assert result.skipped_payloads == 1
 
+    @pytest.mark.parametrize("date", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_date_skipped_and_counted(self, date):
+        txs = [ripple_tx(1, T0 + 1), ripple_tx(2, date), ripple_tx(3, T0 + 3)]
+        with FixtureServer(interval_responder(txs)) as server:
+            result = fetch_transactions(ripple_job(server.url))
+        assert sorted(r.timestamp for r in result.records) == [T0 + 1, T0 + 3]
+        assert result.skipped_payloads == 1
+
     def test_hashless_duplicates_fall_back_to_content_key(self):
         tx = ripple_tx(1, T0 + 1)
         del tx["hash"]
@@ -389,6 +398,66 @@ class TestBlockFetch:
             result = fetch_transactions(job)
         # the repeated traceId row collapses; rows without traceId dedup by content
         assert sorted(r.recipients[0] for r in result.records) == ["0xa", "0xb", "0xc", "0xd"]
+
+
+class TestClientsPerFetch:
+    """Each of the `workers` fetchers uses one client for the whole fetch."""
+
+    @pytest.fixture
+    def clients(self, monkeypatch):
+        made, closed = [], []
+
+        class CountedClient(RetryingClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        monkeypatch.setattr("ledgergraph.fetch.RetryingClient", CountedClient)
+        return made, closed
+
+    def block_fetch(self, serve):
+        # one day of blocks 15 min apart, searched with 2 h of padding:
+        # blocks 0..103 in 13 chunks of 8
+        with FixtureServer(serve) as server:
+            return fetch_transactions(FetchJob(ledger="ethereum", start=T0, end=T0 + DAY,
+                                               source=server.url, workers=2))
+
+    def test_block_fetch_makes_one_client_per_worker(self, clients):
+        result = self.block_fetch(block_responder(make_blocks(T0, DAY // 96, 2, 120)))
+        assert len(result.records) == 192
+        made, closed = clients
+        assert len(made) == 2 and closed == made
+
+    def test_failed_block_search_closes_every_client(self, clients):
+        serve = block_responder(make_blocks(T0, DAY // 96, 2, 120))
+        with pytest.raises(FetchError, match="block search failed"):
+            self.block_fetch(lambda p, q: (500, {}) if p == "/api/latest" else serve(p, q))
+        made, closed = clients
+        assert len(made) == 2 and closed == made
+
+    def test_failed_chunks_keep_their_names_and_order(self, clients):
+        serve = block_responder(make_blocks(T0, DAY // 96, 2, 120))
+        failing = {"/api/block/17/txs", "/api/block/24/txs"}  # chunks 2 and 3, one per fetcher
+        with pytest.raises(FetchError) as exc:
+            self.block_fetch(lambda p, q: (500, {}) if p in failing else serve(p, q))
+        assert str(exc.value) == "2 block range(s) failed"
+        assert [r.split(":")[0] for r in exc.value.failed_ranges] == [
+            "ethereum blocks [16, 24)", "ethereum blocks [24, 32)"]
+        assert len(exc.value.partial.records) == 192 - 2 * 16
+        made, closed = clients
+        assert len(made) == 2 and closed == made
+
+    def test_ripple_fetch_makes_one_client_per_worker(self, clients):
+        txs = [ripple_tx(i, T0 + i) for i in range(450)]
+        with FixtureServer(interval_responder(txs)) as server:
+            result = fetch_transactions(ripple_job(server.url, workers=3))
+        assert len(result.records) == 450
+        made, closed = clients
+        assert len(made) == 3 and closed == made
 
 
 class TestMalformedResponses:
@@ -547,6 +616,7 @@ def test_only_fetching_imports_requests(tmp_path):
 
 
 def test_commands_that_never_fetch_load_no_http_client(tmp_path):
+    # nor, with one worker, a thread pool
     dump, net, report = tmp_path / "dump.ndjson", tmp_path / "g.net", tmp_path / "r.json"
     with open(dump, "w") as fh:
         write_dump([TransactionRecord("ripple", (f"r{i}",), (f"r{(i * 7) % 11}",), T0 + i,
@@ -556,7 +626,8 @@ def test_commands_that_never_fetch_load_no_http_client(tmp_path):
             f"assert main(['analyze', '--in', {str(net)!r}, '--out', {str(report)!r}]) == 0\n"
             f"assert main(['compare', '--in', {str(net)!r}, '--out', {str(report)!r}]) == 0\n"
             f"assert main(['report', '--in', {str(report)!r}]) == 0\n"
-            "loaded = {'requests', 'http.client', 'ssl'} & set(sys.modules)\n"
+            "loaded = {'requests', 'http.client', 'ssl', 'ledgergraph.fetch', "
+            "'ledgergraph.explorers', 'concurrent.futures'} & set(sys.modules)\n"
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=_python_env(), check=True,
                    stdout=subprocess.DEVNULL)

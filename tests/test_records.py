@@ -191,6 +191,12 @@ class TestDumpIO:
             list(read_dump(io.StringIO('{"ledger": "ripple"}\n')))
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_is_a_schema_error(self, stamp):
+        with pytest.raises(RecordSchemaError, match="timestamp must be a number"):
+            record_from_json_dict({"ledger": "ripple", "senders": ["a"], "recipients": ["b"],
+                                   "timestamp": stamp})
+
     def test_missing_field_names_field(self):
         with pytest.raises(RecordSchemaError) as exc:
             record_from_json_dict({"ledger": "ripple", "senders": ["a"]})
