@@ -304,7 +304,7 @@ def _format_metrics(doc: dict, indent: str = "") -> str:
         f"({sizes['weak_main']['fraction']:.1%} of {sizes['nodes']})",
         f"{indent}strong main size     {sizes['strong_main']['size']} "
         f"({sizes['strong_main']['fraction']:.1%})",
-        f"{indent}sample               {doc['sample']['fraction']:.0%} of "
+        f"{indent}sample               {doc['sample']['fraction'] * 100:.15g}% of "
         f"{doc['sample']['component']}, seed {doc['sample']['seed']}, "
         f"{doc['sample']['pairs_used']} pairs",
     ]

@@ -13,12 +13,17 @@ the main component's sub-CSR, which the Csr computes once and keeps.
   ride in one uint64 lane per node. Each level picks a direction (Beamer,
   Asanovic & Patterson 2012): while the frontier's out-arcs number fewer
   than m / _PUSH_ALPHA it pushes, or-ing each frontier bitset into the
-  heads of that node's out-arcs only; otherwise it pulls, one gather +
-  bitwise-or sweep over all m reverse arcs. Both directions set the same
-  bits. Distances are summed as exact integers, so a fraction-1 run
-  reproduces the brute-force all-pairs average bit for bit. It runs only
-  on the nodes reached from the sample that reach it back: no others lie
-  on a shortest path between two sampled nodes.
+  heads of that node's out-arcs only; otherwise it pulls over all m
+  reverse arcs. Both directions set the same bits. Distances are summed
+  as exact integers, so a fraction-1 run reproduces the brute-force
+  all-pairs average bit for bit. It runs only on the nodes reached from
+  the sample that reach it back: no others lie on a shortest path
+  between two sampled nodes. Those nodes are renumbered by descending
+  in-degree, so the j-th in-arcs of all nodes that have one form a
+  prefix, a jagged diagonal (Saad, Iterative Methods for Sparse Linear
+  Systems, 2nd ed. 2003, JDS format): a pull is one gather and one or
+  per diagonal while _MIN_COLUMN nodes reach it, and one reduceat over
+  the few hubs' deeper in-arcs.
 - Load centrality is normalized shortest-path betweenness (it matches
   networkx.betweenness_centrality, not Goh load or
   networkx.load_centrality). It uses Brandes' per-source accumulation of
@@ -36,17 +41,21 @@ so results are bit-identical for any `workers` value.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import _run_ordered
-from .graph import Csr, _arc_slots, _distinct, _masked_arcs, _reach
+from .graph import Csr, _arc_slots, _distinct, _reach
+
+log = logging.getLogger("ledgergraph")
 
 _BITS = 64  # BFS sources per bitset batch
 _PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
+_MIN_COLUMN = 32  # an ASPL pull takes in-arc j as a column while this many nodes have one
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
 _BRANDES_BATCH = 16  # sources swept together inside a task
 _WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
@@ -210,11 +219,59 @@ def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
+def _in_degree_order(sub: Csr, keep: np.ndarray) -> tuple[Csr, np.ndarray]:
+    """Subgraph on the nodes `keep` selects, renumbered by descending
+    in-degree within it (ties: ascending id), and each old node's new id
+    (meaningless for a node not kept)."""
+    arc = keep[sub.tails] & keep[sub.fwd_indices]
+    kept = np.flatnonzero(keep)
+    in_deg = np.bincount(sub.fwd_indices[arc], minlength=sub.n)
+    order = kept[np.argsort(-in_deg[kept], kind="stable")]
+    n = len(order)
+    new_id = np.zeros(sub.n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    keys = new_id[sub.tails[arc]] * n + new_id[sub.fwd_indices[arc]]
+    keys.sort()
+    tails, heads = np.divmod(keys, n)
+    del keys  # freed before the Csr allocates its own sort keys
+    return Csr(n, tails, heads), new_id
+
+
+def _diagonal_pull(csr: Csr) -> Callable[[np.ndarray], np.ndarray]:
+    """Pull step for a Csr whose in-degrees descend: or into each node the
+    frontier bitsets of all its in-neighbours.
+
+    Column j (the j-th in-arcs, a jagged diagonal) covers a prefix of the
+    nodes, so it is one gather and one or over that prefix. Columns stop
+    once fewer than _MIN_COLUMN nodes reach them; those few nodes' deeper
+    in-arcs go through one reduceat."""
+    in_deg = np.diff(csr.rev_indptr)
+    deeper = csr.n - np.cumsum(np.bincount(in_deg))  # [j]: nodes with over j in-arcs
+    width = int((deeper >= _MIN_COLUMN).sum())
+    columns = [csr.rev_indices[csr.rev_indptr[:deeper[j]] + j] for j in range(width)]
+    rest = int(deeper[width])
+    counts = in_deg[:rest] - width
+    rest_tails = csr.rev_indices[_arc_slots(csr.rev_indptr[:rest] + width, counts,
+                                            int(counts.sum()))]
+    rest_starts = np.cumsum(counts) - counts
+
+    def pull(frontier: np.ndarray) -> np.ndarray:
+        pulled = np.zeros(csr.n, dtype=np.uint64)
+        for column in columns:
+            pulled[: len(column)] |= frontier[column]
+        if rest:
+            pulled[:rest] |= np.bitwise_or.reduceat(frontier[rest_tails], rest_starts)
+        return pulled
+
+    return pull
+
+
 def _batch_pair_sums(
-    csr: Csr, batch: np.ndarray, targets: np.ndarray, nonempty: np.ndarray, seg_starts: np.ndarray
-) -> tuple[int, int]:
-    """Distance sum and pair count from <=64 sources to the target set;
-    each level pushes or pulls by the rule in the module doc."""
+    csr: Csr, batch: np.ndarray, targets: np.ndarray, pull: Callable[[np.ndarray], np.ndarray]
+) -> tuple[int, int, int, int]:
+    """Distance sum and pair count from <=64 sources to the target set,
+    and the levels pushed and pulled; each level picks by the rule in the
+    module doc."""
     frontier = np.zeros(csr.n, dtype=np.uint64)
     frontier[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
     unseen = ~frontier
@@ -222,17 +279,19 @@ def _batch_pair_sums(
     total = 0
     pairs = 0
     level = 0
+    pushes = 0
     while True:
         level += 1
-        pulled = np.zeros(csr.n, dtype=np.uint64)
         starts = csr.fwd_indptr[active]
         counts = csr.fwd_indptr[active + 1] - starts
         arcs = int(counts.sum())
         if arcs * _PUSH_ALPHA < csr.m:
+            pushes += 1
+            pulled = np.zeros(csr.n, dtype=np.uint64)
             heads = csr.fwd_indices[_arc_slots(starts, counts, arcs)]
             np.bitwise_or.at(pulled, heads, np.repeat(frontier[active], counts))
-        else:  # arcs > 0, so some node has in-arcs and seg_starts is not empty
-            pulled[nonempty] = np.bitwise_or.reduceat(frontier[csr.rev_indices], seg_starts)
+        else:
+            pulled = pull(frontier)
         new = np.bitwise_and(pulled, unseen, out=pulled)
         active = np.flatnonzero(new)
         if not active.size:
@@ -242,7 +301,7 @@ def _batch_pair_sums(
         total += level * hit
         pairs += hit
         frontier = new
-    return total, pairs
+    return total, pairs, pushes, level - pushes
 
 
 def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
@@ -268,17 +327,14 @@ def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
     # only nodes reached from the sample that reach it lie on its paths
     keep = (_reach(sub.fwd_indptr, sub.fwd_indices, sample)
             & _reach(sub.rev_indptr, sub.rev_indices, sample))
-    if not keep.all():
-        sample = (np.cumsum(keep) - 1)[sample]
-        sub = Csr(*_masked_arcs(sub, keep))
-    nonempty = np.flatnonzero(np.diff(sub.rev_indptr))
-    seg_starts = sub.rev_indptr[nonempty]
+    sub, new_id = _in_degree_order(sub, keep)
+    sample = new_id[sample]
+    pull = _diagonal_pull(sub)
     batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
-    results = _run_ordered(
-        batches, lambda b: _batch_pair_sums(sub, b, sample, nonempty, seg_starts), workers
-    )
-    total = sum(r[0] for r in results)
-    pairs = sum(r[1] for r in results)
+    results = _run_ordered(batches, lambda b: _batch_pair_sums(sub, b, sample, pull), workers)
+    total, pairs, pushes, pulls = (sum(r[i] for r in results) for i in range(4))
+    log.info("aspl: %d of %d nodes kept, %d sources in %d batches, %d push + %d pull levels",
+             sub.n, n, len(sample), len(batches), pushes, pulls)
     if pairs == 0:
         raise ValueError("no ordered pair in the sample is connected")
     return total / pairs, pairs

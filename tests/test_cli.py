@@ -382,6 +382,23 @@ def test_report_on_metrics_json(tmp_path, capsys):
     assert "graph ACC" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fraction,shown", [
+    (0.005, "0.5%"), (0.025, "2.5%"), (0.0005, "0.05%"), (0.07, "7%"), (0.1, "10%"), (1.0, "100%")])
+def test_report_prints_the_sample_fraction_exactly(tmp_path, capsys, fraction, shown):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    net = tmp_path / "g.net"
+    rpt = tmp_path / "r.json"
+    main(["build", "--in", str(dump), "--out", str(net)])
+    main(["analyze", "--in", str(net), "--out", str(rpt), "--sample", "1.0"])
+    doc = json.loads(rpt.read_text())
+    doc["sample"]["fraction"] = fraction
+    rpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--in", str(rpt)]) == 0
+    assert f"sample               {shown} of weak_main, seed 0, " in capsys.readouterr().out
+
+
 def test_report_omits_hub_header_without_hub_load(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     write_fixture_dump(dump)

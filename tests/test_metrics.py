@@ -43,6 +43,27 @@ def digraph_with_dead_ends(seed):
     return graph_from(arcs, n)
 
 
+def hub_digraph(seed):
+    """A seeded random digraph, three hubs with 40-59 in-arcs each, and ten
+    source nodes (no in-arcs) pointing into it."""
+    rng = random.Random(seed)
+    arcs = list(random_digraph(120, 360, seed).arcs())
+    for hub in range(3):
+        arcs += [(v, hub) for v in rng.sample(range(3, 120), rng.randrange(40, 60))]
+    arcs += [(120 + i, rng.randrange(120)) for i in range(10)]
+    return graph_from(arcs, 130)
+
+
+# _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls.
+# A pull takes in-arc j of every node as a column while _MIN_COLUMN nodes have one:
+# at 1 every in-arc is in a column, at 2**62 every in-arc is in the reduceat rest.
+DIRECTIONS = pytest.mark.parametrize(
+    "alpha, min_column",
+    [(0, metrics._MIN_COLUMN), (1 << 62, metrics._MIN_COLUMN), (1 << 62, 1), (1 << 62, 1 << 62)],
+    ids=["push", "pull", "pull-columns", "pull-reduceat"],
+)
+
+
 def bidirectional_star(leaves=4):
     return graph_from([arc for leaf in range(1, leaves + 1) for arc in ((0, leaf), (leaf, 0))])
 
@@ -199,8 +220,7 @@ class TestAspl:
         assert pairs == expect_pairs
         assert value == expect_value  # integer sums divide identically
 
-    # _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls
-    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
+    @DIRECTIONS
     @pytest.mark.parametrize("component", ["weak_main", "strong_main"])
     @pytest.mark.parametrize("undirected", [False, True], ids=["directed", "undirected"])
     @pytest.mark.parametrize(
@@ -208,7 +228,9 @@ class TestAspl:
         [multi_component_digraph, lambda: random_digraph(150, 450, 4)],
         ids=["multi", "random"],
     )
-    def test_each_direction_equals_bruteforce(self, monkeypatch, alpha, component, undirected, make):
+    def test_each_direction_equals_bruteforce(
+        self, monkeypatch, alpha, min_column, component, undirected, make
+    ):
         g = make()
         if component == "weak_main":
             members = oracles.weak_main_members(g)
@@ -216,11 +238,12 @@ class TestAspl:
             members = oracles.strong_main_members(g)
         expected = oracles.exact_aspl(g, undirected, members)
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
         plan = SamplePlan(fraction=1.0, component=component, treat_as_undirected=undirected)
         assert aspl(g, plan) == expected
 
-    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
-    def test_each_direction_equals_bruteforce_on_a_sample(self, monkeypatch, alpha):
+    @DIRECTIONS
+    def test_each_direction_equals_bruteforce_on_a_sample(self, monkeypatch, alpha, min_column):
         g = multi_component_digraph()
         members = oracles.weak_main_members(g)
         picked = metrics._sample_nodes(len(members), 0.5, 3)  # ids in the main component
@@ -228,12 +251,12 @@ class TestAspl:
         among = {sorted(members)[i] for i in picked}
         expected = oracles.exact_aspl(g, members=members, among=among)
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
         assert aspl(g, SamplePlan(fraction=0.5, seed=3)) == expected
 
-    # _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls
-    @pytest.mark.parametrize("alpha", [0, 1 << 62], ids=["push", "pull"])
+    @DIRECTIONS
     @pytest.mark.parametrize("seed", range(10))
-    def test_pruned_sample_equals_bruteforce(self, monkeypatch, alpha, seed):
+    def test_pruned_sample_equals_bruteforce(self, monkeypatch, alpha, min_column, seed):
         g = digraph_with_dead_ends(seed)
         measured = []
         kernel = metrics._batch_pair_sums
@@ -243,6 +266,7 @@ class TestAspl:
             return kernel(csr, *args)
 
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
         monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
         weak, strong = oracles.weak_main_members(g), oracles.strong_main_members(g)
         for fraction, component, undirected in itertools.product(
@@ -259,6 +283,34 @@ class TestAspl:
                 assert measured[0] < len(members)  # the dead ends were pruned
             else:
                 assert measured[0] == len(members)  # strongly connected: nothing to prune
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hubs_and_sources_equal_bruteforce(self, monkeypatch, alpha, min_column, fraction, seed):
+        g = hub_digraph(seed)
+        members = oracles.weak_main_members(g)
+        picked = metrics._sample_nodes(len(members), fraction, seed)
+        among = {sorted(members)[i] for i in picked}
+        expected = oracles.exact_aspl(g, members=members, among=among)
+        measured = []
+        kernel = metrics._batch_pair_sums
+
+        def recorded(csr, batch, *args):
+            measured.append((csr, batch))
+            return kernel(csr, batch, *args)
+
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
+        monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
+        assert aspl(g, SamplePlan(fraction, seed)) == expected
+        csr = measured[0][0]
+        in_deg = np.diff(csr.rev_indptr)
+        # at the default _MIN_COLUMN a pull has columns and a hub rest
+        assert np.count_nonzero(in_deg) >= 32 and in_deg.max() > 32
+        if fraction == 1.0:  # the sources are sampled and kept
+            sampled = np.concatenate([batch for _, batch in measured])
+            assert (in_deg[sampled] == 0).sum() >= 10
 
     def test_matches_networkx_at_scale(self):
         nx = pytest.importorskip("networkx")
