@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import time
+from operator import attrgetter
 from typing import Optional
 
 from . import __version__
@@ -180,7 +181,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
 
 
 def _write_dump_sorted(records, path: str) -> None:
-    records = sorted(records, key=lambda r: (r.timestamp, r.senders, r.recipients, r.tx_kind))
+    records = sorted(records, key=attrgetter("timestamp", "senders", "recipients", "tx_kind"))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         write_dump(records, fh)
 

@@ -91,9 +91,13 @@ _UTXO_ADDRESSES = {
 
 
 def _addresses(tx: dict, key: str, *path: str) -> list:
-    """The non-empty value at `path` in each object of the list tx[key]."""
+    """The non-empty value at `path` in each object of the list tx[key]
+    (absent is empty); PayloadError if tx[key] is not a list."""
+    items = tx.get(key, [])
+    if not isinstance(items, list):
+        raise PayloadError(f"{key!r} must be a list, got {type(items).__name__}")
     found = []
-    for item in tx.get(key, []):
+    for item in items:
         for step in path:
             item = item.get(step) if isinstance(item, dict) else None
         if item:

@@ -257,8 +257,12 @@ def _diagonal_pull(csr: Csr) -> Callable[[np.ndarray], np.ndarray]:
 
     def pull(frontier: np.ndarray) -> np.ndarray:
         pulled = np.zeros(csr.n, dtype=np.uint64)
-        for column in columns:
-            pulled[: len(column)] |= frontier[column]
+        if columns:  # assign the first, longest diagonal; or in the rest through one buffer
+            np.take(frontier, columns[0], out=pulled[: len(columns[0])], mode="clip")
+            buffer = np.empty(len(columns[0]), dtype=np.uint64)
+        for column in columns[1:]:
+            pulled[: len(column)] |= np.take(frontier, column, out=buffer[: len(column)],
+                                             mode="clip")
         if rest:
             pulled[:rest] |= np.bitwise_or.reduceat(frontier[rest_tails], rest_starts)
         return pulled

@@ -2,23 +2,30 @@
 
 Every supported ledger is reduced to one record shape so the analytics
 side never sees ledger-specific payloads. The on-disk dump format is one
-JSON object per line with exactly these fields:
+JSON object per line with exactly these fields, in this order:
 
-    {"ledger": "...", "senders": [...], "recipients": [...],
+    {"ledger": "...", "recipients": [...], "senders": [...],
      "timestamp": <unix seconds>, "tx_kind": "..."}
 
-The strict and lenient dump readers share one line loop. One interning loop
-serves `ingest_dump` (a dump to sorted arc keys, standard library only) and
-`build_graph` (which imports the graph module when called).
+`write_dump` renders each line from one template whose strings go through
+json's own C escaper, so a line is byte for byte what
+`json.dumps(..., sort_keys=True)` gives, without a dict per record.
+
+The strict and lenient dump readers share one line loop, which checks each
+line into a plain 5-tuple; the readers wrap those as records without
+checking them again. One interning loop serves `ingest_dump` (those tuples
+to sorted arc keys, standard library only) and `build_graph` (records,
+which are such tuples; it imports the graph module when called).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import asdict, dataclass
 from itertools import count, groupby
+from json.encoder import encode_basestring_ascii
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
@@ -29,54 +36,60 @@ UTXO_LEDGERS = frozenset({"bitcoin", "dogecoin"})
 SINGLE_PAIR_LEDGERS = frozenset({"ethereum", "ethereum_internal", "ripple"})
 
 RIPPLE_PAYMENT = "Payment"
-_ENCODER = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds
+# one dump line: the keys in the order sort_keys gives, json.dumps' separators
+_LINE = '{"ledger": %s, "recipients": [%s], "senders": [%s], "timestamp": %d, "tx_kind": %s}\n'
 
 
 class RecordSchemaError(ValueError):
     """A decoded record violates the dump schema."""
 
 
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One ledger transaction, normalized.
+def _check(ledger, senders, recipients, timestamp, tx_kind) -> None:
+    """Raise RecordSchemaError unless the fields make a valid record."""
+    if ledger not in LEDGERS:
+        raise RecordSchemaError(f"unknown ledger {ledger!r}")
+    if not senders or not recipients:
+        raise RecordSchemaError("senders and recipients must be non-empty")
+    for side in (senders, recipients):
+        for address in side:
+            if not isinstance(address, str) or not address:
+                raise RecordSchemaError("addresses must be non-empty strings")
+    if ledger in SINGLE_PAIR_LEDGERS and (len(senders) != 1 or len(recipients) != 1):
+        raise RecordSchemaError(
+            f"{ledger} records must have exactly one sender and one recipient")
+    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+        raise RecordSchemaError(f"timestamp must be an int (unix seconds), got {timestamp!r}")
+    if not isinstance(tx_kind, str):
+        raise RecordSchemaError("tx_kind must be a string")
+
+
+class TransactionRecord(namedtuple("TransactionRecord",
+                                   ("ledger", "senders", "recipients", "timestamp", "tx_kind"))):
+    """One ledger transaction, normalized: an immutable named tuple whose
+    fields are checked when it is made.
 
     UTXO ledgers (bitcoin, dogecoin) may carry several senders and
     recipients; account ledgers (ethereum, ethereum_internal, ripple) carry
-    exactly one of each. `tx_kind` is the ledger-native type tag; only
-    Ripple uses it for filtering (payments vs bookkeeping transactions).
+    exactly one of each. `timestamp` is an int of unix seconds. `tx_kind` is
+    the ledger-native type tag; only Ripple uses it for filtering (payments
+    vs bookkeeping transactions). `_make` takes fields as they are, for rows
+    checked already.
     """
 
-    ledger: str
-    senders: tuple[str, ...]
-    recipients: tuple[str, ...]
-    timestamp: int
-    tx_kind: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ledger not in LEDGERS:
-            raise RecordSchemaError(f"unknown ledger {self.ledger!r}")
-        if not self.senders or not self.recipients:
-            raise RecordSchemaError("senders and recipients must be non-empty")
-        if any(not isinstance(a, str) or not a for a in self.senders + self.recipients):
-            raise RecordSchemaError("addresses must be non-empty strings")
-        if self.ledger in SINGLE_PAIR_LEDGERS and (
-            len(self.senders) != 1 or len(self.recipients) != 1
-        ):
-            raise RecordSchemaError(
-                f"{self.ledger} records must have exactly one sender and one recipient"
-            )
+    def __new__(cls, ledger: str, senders: tuple[str, ...], recipients: tuple[str, ...],
+                timestamp: int, tx_kind: str = "") -> TransactionRecord:
+        _check(ledger, senders, recipients, timestamp, tx_kind)
+        return tuple.__new__(cls, (ledger, senders, recipients, timestamp, tx_kind))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ledger": self.ledger,
-            "senders": list(self.senders),
-            "recipients": list(self.recipients),
-            "timestamp": self.timestamp,
-            "tx_kind": self.tx_kind,
-        }
+    def _replace(self, **changes) -> TransactionRecord:
+        return type(self)(**{**self._asdict(), **changes})  # checked like any new record
 
 
-def record_from_json_dict(obj: object) -> TransactionRecord:
+def _checked(obj: object) -> tuple:
+    """The (ledger, senders, recipients, timestamp, tx_kind) of one decoded
+    dump line, checked against the dump schema and the record rules."""
     if not isinstance(obj, dict):
         raise RecordSchemaError(f"record must be a JSON object, got {type(obj).__name__}")
     try:
@@ -94,26 +107,29 @@ def record_from_json_dict(obj: object) -> TransactionRecord:
     tx_kind = obj.get("tx_kind", "")
     if not isinstance(tx_kind, str):
         raise RecordSchemaError("tx_kind must be a string")
-    return TransactionRecord(
-        ledger=ledger,
-        senders=tuple(senders),
-        recipients=tuple(recipients),
-        timestamp=int(timestamp),
-        tx_kind=tx_kind,
-    )
+    row = (ledger, tuple(senders), tuple(recipients), int(timestamp), tx_kind)
+    _check(*row)
+    return row
+
+
+def record_from_json_dict(obj: object) -> TransactionRecord:
+    return TransactionRecord._make(_checked(obj))
 
 
 def write_dump(records: Iterable[TransactionRecord], stream: IO[str]) -> int:
-    """Write records as newline-delimited JSON; returns the count."""
-    count = 0
-    for count, rec in enumerate(records, start=1):
-        stream.write(_ENCODER.encode(rec.to_json_dict()) + "\n")
-    return count
+    """Write records as newline-delimited JSON, one line at a time; returns
+    the count."""
+    write, quote, n = stream.write, encode_basestring_ascii, 0
+    for n, (ledger, senders, recipients, timestamp, tx_kind) in enumerate(records, start=1):
+        write(_LINE % (quote(ledger), ", ".join(map(quote, recipients)),
+                       ", ".join(map(quote, senders)), timestamp, quote(tx_kind)))
+    return n
 
 
-def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[TransactionRecord]]:
-    """Records of a dump in file order, or None for each line that is not
-    valid JSON when not `strict`. A schema violation always raises."""
+def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[tuple]]:
+    """Checked rows (see `_checked`) of a dump in file order, or None for
+    each line that is not valid JSON when not `strict`. A schema violation
+    always raises."""
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -125,14 +141,14 @@ def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[TransactionR
             yield None
             continue
         try:
-            yield record_from_json_dict(obj)
+            yield _checked(obj)
         except RecordSchemaError as exc:
             raise RecordSchemaError(f"line {lineno}: {exc}") from None
 
 
 def read_dump(stream: IO[str]) -> Iterator[TransactionRecord]:
     """Strict dump reader: any bad line raises."""
-    return _read_lines(stream, strict=True)  # type: ignore[return-value]
+    return map(TransactionRecord._make, _read_lines(stream, strict=True))
 
 
 def read_dump_lenient(stream: IO[str]) -> tuple[list[TransactionRecord], int]:
@@ -143,9 +159,19 @@ def read_dump_lenient(stream: IO[str]) -> tuple[list[TransactionRecord], int]:
     raise, because they mean the file is not a dump of this format.
     Returns (records, skipped_line_count).
     """
-    records = list(_read_lines(stream, strict=False))
-    kept = [r for r in records if r is not None]
-    return kept, len(records) - len(kept)
+    rows = list(_read_lines(stream, strict=False))
+    kept = [TransactionRecord._make(row) for row in rows if row is not None]
+    return kept, len(rows) - len(kept)
+
+
+def _sides(row: tuple) -> tuple[Iterable[str], Iterable[str]]:
+    """The senders and recipients whose cross product a record maps to."""
+    ledger, senders, recipients, _, tx_kind = row
+    if ledger in UTXO_LEDGERS:  # first-seen order keeps edge emission deterministic
+        return dict.fromkeys(senders), dict.fromkeys(recipients)
+    if ledger == "ripple" and tx_kind != RIPPLE_PAYMENT:
+        return (), ()
+    return senders, recipients
 
 
 def map_to_edges(record: TransactionRecord) -> list[tuple[str, str]]:
@@ -156,12 +182,8 @@ def map_to_edges(record: TransactionRecord) -> list[tuple[str, str]]:
     pair; Ripple only for payments, since its other transaction kinds move
     no funds between two parties.
     """
-    if record.ledger in UTXO_LEDGERS:  # first-seen order keeps edge emission deterministic
-        senders, recipients = dict.fromkeys(record.senders), dict.fromkeys(record.recipients)
-        return [(s, r) for s in senders for r in recipients]
-    if record.ledger == "ripple" and record.tx_kind != RIPPLE_PAYMENT:
-        return []
-    return [(record.senders[0], record.recipients[0])]
+    senders, recipients = _sides(record)
+    return [(s, r) for s in senders for r in recipients]
 
 
 @dataclass
@@ -181,38 +203,45 @@ class IngestionStats:
         return {**asdict(self), "transactions_to_addresses_ratio": ratio}
 
 
-def _intern(records: Iterable[Optional[TransactionRecord]],
+def _intern(rows: Iterable[Optional[tuple]],
             stats: IngestionStats) -> tuple[dict[str, int], list[int]]:
-    """Pajek vertex numbers by address, first seen first (sender before
-    recipient), and the sorted distinct arcs as keys tail << 32 | head; None
-    is a skipped line. Arcs wait in a list: a fifth of a set, and partly sorted."""
+    """Pajek vertex numbers by address, first seen first (each sender, then
+    the recipients it pairs with), and the sorted distinct arcs as keys
+    tail << 32 | head, from records or checked rows; None is a skipped line.
+    Arcs wait in a list: a fifth of a set, and partly sorted."""
     ids: defaultdict[str, int] = defaultdict(count(1).__next__)
     arcs: list[int] = []
     add = arcs.append
-    for record in records:
-        if record is None:
-            stats.skipped_records += 1
+    transactions = pairs = loops = skipped = 0
+    for row in rows:
+        if row is None:
+            skipped += 1
             continue
-        pairs = map_to_edges(record)
-        stats.transactions += 1
-        stats.binary_connections += len(pairs)
-        for sender, recipient in pairs:
-            tail, head = ids[sender], ids[recipient]
-            if tail != head:
-                add(tail << 32 | head)
-            else:
-                stats.self_loops += 1
+        transactions += 1
+        senders, recipients = _sides(row)
+        pairs += len(senders) * len(recipients)
+        for sender in senders:
+            tail = ids[sender]
+            for recipient in recipients:
+                head = ids[recipient]
+                if head != tail:
+                    add(tail << 32 | head)
+                else:
+                    loops += 1
     arcs.sort()
     keys = [key for key, _ in groupby(arcs)]
+    stats.transactions, stats.binary_connections, stats.self_loops = transactions, pairs, loops
+    stats.skipped_records += skipped  # build_graph may have counted some already
     stats.unique_arcs, stats.nodes = len(keys), len(ids)
-    submissions = stats.binary_connections - stats.self_loops
+    submissions = pairs - loops
     stats.edge_reuse_ratio = (submissions - len(keys)) / submissions if submissions else 0.0
     return ids, keys
 
 
 def ingest_dump(stream: IO[str]) -> tuple[list[str], list[int], IngestionStats]:
     """Addresses in id order, sorted arc keys (forward CSR order) and stats
-    of a dump, read line by line and checked as `read_dump_lenient` does."""
+    of a dump, read line by line and checked as `read_dump_lenient` does,
+    without making a record of any line."""
     ids, keys = _intern(_read_lines(stream, strict=False), stats := IngestionStats())
     return list(ids), keys, stats
 

@@ -500,6 +500,34 @@ class TestMalformedResponses:
         assert "page offset 100: " in ranges[0] and "page offsets from 200 on" in ranges[1]
         assert len(exc.value.partial.records) == 100
 
+    @pytest.mark.parametrize("ledger, key, value", [
+        ("bitcoin", "inputs", None), ("bitcoin", "out", None), ("bitcoin", "out", 5),
+        ("dogecoin", "inputs", None), ("dogecoin", "outputs", {"address": "Dout"}),
+    ], ids=["btc_inputs_null", "btc_out_null", "btc_out_number", "doge_inputs_null",
+            "doge_outputs_object"])
+    def test_utxo_side_not_a_list_is_skipped_and_counted(self, tmp_path, capsys,
+                                                         ledger, key, value):
+        ins, outs = ("inputs", "out") if ledger == "bitcoin" else ("inputs", "outputs")
+
+        def utxo_tx(i, when):
+            tx = {"hash": f"U{i}", "txid": f"U{i}", "time": when,
+                  ins: [{"prev_out": {"addr": f"in{i}"}, "address": f"in{i}"}],
+                  outs: [{"addr": f"out{i}", "address": f"out{i}"}]}
+            if i == 4:
+                tx[key] = value
+            return tx
+
+        blocks = make_blocks(T0, 3600, 3, 4, tx_fn=utxo_tx)
+        with FixtureServer(block_responder(blocks)) as server:
+            result = fetch_transactions(FetchJob(ledger=ledger, start=T0, end=T0 + DAY,
+                                                 source=server.url))
+            out = tmp_path / "dump.ndjson"
+            code = main(["fetch", "--ledger", ledger, "--from", "2020-09-01",
+                         "--to", "2020-09-02", "--out", str(out), "--source", server.url])
+        assert (len(result.records), result.skipped_payloads) == (11, 1)
+        assert code == 0 and len(out.read_text().splitlines()) == 11
+        assert capsys.readouterr().out == "11\n"
+
 
 class TestLocalSource:
     def test_local_dump_filtering(self, tmp_path):

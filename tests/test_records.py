@@ -8,6 +8,7 @@ from ledgergraph.records import (
     RecordSchemaError,
     TransactionRecord,
     build_graph,
+    ingest_dump,
     map_to_edges,
     read_dump,
     read_dump_lenient,
@@ -207,3 +208,116 @@ class TestDumpIO:
         write_dump([rec()], buf)
         obj = json.loads(buf.getvalue())
         assert set(obj) == {"ledger", "senders", "recipients", "timestamp", "tx_kind"}
+
+
+class TestRecordType:
+    def test_keyword_construction_and_default_kind(self):
+        r = TransactionRecord(ledger="ripple", senders=("rA",), recipients=("rB",),
+                              timestamp=7)
+        assert (r.ledger, r.senders, r.recipients, r.timestamp, r.tx_kind) == \
+            ("ripple", ("rA",), ("rB",), 7, "")
+        assert r == TransactionRecord("ripple", ("rA",), ("rB",), 7, "")
+
+    def test_immutable(self):
+        r = rec()
+        with pytest.raises(AttributeError):
+            r.timestamp = 0
+        with pytest.raises(AttributeError):
+            r.extra = 1  # no instance dict
+
+    def test_equality_and_hash(self):
+        assert rec() == rec() and hash(rec()) == hash(rec())
+        assert rec() != rec(timestamp=5)
+        assert len({rec(), rec(), rec(tx_kind="AccountSet")}) == 2
+        # a named tuple: equal to the plain tuple of its fields
+        assert rec() == ("ripple", ("rA",), ("rB",), 1_598_918_400, "Payment")
+
+    def test_repr(self):
+        assert repr(rec()) == ("TransactionRecord(ledger='ripple', senders=('rA',), "
+                               "recipients=('rB',), timestamp=1598918400, tx_kind='Payment')")
+
+    def test_replace_checks_like_construction(self):
+        assert rec()._replace(timestamp=5) == rec(timestamp=5)
+        with pytest.raises(RecordSchemaError):
+            rec()._replace(ledger="monero")
+
+    @pytest.mark.parametrize("stamp", [1.5, float("nan"), True, "1598918400", None],
+                             ids=["float", "NaN", "bool", "string", "None"])
+    def test_timestamp_must_be_an_int(self, stamp):
+        with pytest.raises(RecordSchemaError, match="timestamp must be an int"):
+            rec(timestamp=stamp)
+
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(RecordSchemaError, match="tx_kind must be a string"):
+            rec(tx_kind=None)
+
+    @pytest.mark.parametrize("stamp", [0, -1, 1_598_918_400, 2**53 + 1, 2**63, -(2**70)])
+    def test_int_timestamps_round_trip(self, stamp):
+        buf = io.StringIO()
+        write_dump([rec(timestamp=stamp)], buf)
+        [back] = read_dump(io.StringIO(buf.getvalue()))
+        assert back == rec(timestamp=stamp) and type(back.timestamp) is int
+
+
+_AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "\u20ac", "\u2028", "\u2029",
+            "\ud800", "\U0001d518", "/", "</script>", " ", "a"]
+
+
+def _awkward_address(rng):
+    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(1, 6)))
+
+
+def test_write_dump_is_json_dumps_with_sorted_keys():
+    rng = random.Random(15)
+    records = []
+    for _ in range(300):
+        ledger = rng.choice(["bitcoin", "dogecoin", "ethereum", "ethereum_internal", "ripple"])
+        wide = ledger in ("bitcoin", "dogecoin")
+        records.append(TransactionRecord(
+            ledger=ledger,
+            senders=tuple(_awkward_address(rng) for _ in range(rng.randrange(1, 4) if wide else 1)),
+            recipients=tuple(_awkward_address(rng)
+                             for _ in range(rng.randrange(1, 4) if wide else 1)),
+            timestamp=rng.choice([0, -5, 1_598_918_400, 2**63 + rng.randrange(9), -(2**65)]),
+            tx_kind=rng.choice(["", "Payment", "transfer"]) + _awkward_address(rng)))
+    buf = io.StringIO()
+    assert write_dump(records, buf) == len(records)
+    expected = [json.dumps({"ledger": r.ledger, "senders": list(r.senders),
+                            "recipients": list(r.recipients), "timestamp": r.timestamp,
+                            "tx_kind": r.tx_kind}, sort_keys=True) + "\n" for r in records]
+    assert buf.getvalue().splitlines(keepends=True) == expected
+    assert list(read_dump(io.StringIO(buf.getvalue()))) == records
+
+
+def test_ingest_dump_matches_build_graph_of_the_lenient_reader():
+    lines = [
+        rec(ledger="bitcoin", senders=("s1", "s2", "s1"), recipients=("r1", "r2", "r1"),
+            tx_kind="transfer"),  # repeats within a side, two senders
+        "{truncated",
+        "",
+        rec(senders=("rA",), recipients=("rA",)),  # self-pair
+        rec(tx_kind="OfferCreate", senders=("rX",), recipients=("rX",)),  # not a payment
+        "   ",
+        rec(ledger="dogecoin", senders=("d1", "r2"), recipients=("r2", "d2"),
+            tx_kind="transfer"),  # a self-pair inside a cross product
+        rec(ledger="ethereum", senders=("0xa",), recipients=("s2",), tx_kind="transaction"),
+        rec(senders=("rA",), recipients=("rB",)),
+        rec(senders=("rA",), recipients=("rB",)),  # a repeated arc
+        "[1, 2",
+    ]
+    buf = io.StringIO()
+    for line in lines:
+        if isinstance(line, str):
+            buf.write(line + "\n")
+        else:
+            write_dump([line], buf)
+    text = buf.getvalue()
+    addresses, keys, stats = ingest_dump(io.StringIO(text))
+    graph, expected = build_graph(*read_dump_lenient(io.StringIO(text)))
+    assert addresses == [graph.address_of(v) for v in range(graph.node_count)]
+    assert [((k >> 32) - 1, (k & 0xFFFFFFFF) - 1) for k in keys] == list(graph.arcs())
+    assert stats == expected
+    # each sender, then its recipients: s1 r1 r2 s2, never s1 s2 r1 r2
+    assert addresses == ["s1", "r1", "r2", "s2", "rA", "d1", "d2", "0xa", "rB"]
+    assert (stats.transactions, stats.skipped_records, stats.binary_connections,
+            stats.self_loops, stats.unique_arcs) == (7, 2, 4 + 1 + 4 + 1 + 2, 2, 9)
