@@ -215,10 +215,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def _make_plan(args: argparse.Namespace):
-    """The ASPL sample plan; also checks --hubs and --workers."""
+    """The ASPL sample plan; also checks --hubs, --seed and --workers."""
     from .metrics import SamplePlan
     if args.hubs < 0:
         raise ValueError(f"--hubs must be >= 0, got {args.hubs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
     return SamplePlan(

@@ -1,23 +1,25 @@
 """Directed simple graph over interned ledger addresses, stored as arrays.
 
-A graph is built once and then only read. A `Csr` holds the arcs of n
-nodes as forward and reverse CSR arrays sorted by (tail, head). A
-`DirectedGraph` is a Csr that also keeps the address of each node and
-counts its arc and self-loop submissions, so the edge-reuse ratio stays
-derivable; self-loops are counted but never stored. A DirectedGraph is
-built from all its submissions at once by its constructor, which finds
-the distinct arcs with one sort (`_distinct`) of the int64 keys
-tail * n + head; the sorted keys are already the forward CSR order.
+A `DirectedGraph` holds the arcs of n nodes as forward and reverse CSR
+arrays sorted by (tail, head), the address of each node (or none), and
+the counts of its arc and self-loop submissions, so the edge-reuse ratio
+stays derivable; self-loops are counted but never stored. Every graph,
+whether read from Pajek, drawn as a random twin or cut out as a
+component, is made by the one constructor from all its submissions at
+once. It forms the int64 keys tail * n + head; when one pass shows them
+already distinct and ascending (a canonical Pajek block, a component
+cut, `build_graph`'s keys) they are the forward CSR order as they stand,
+otherwise one sort (`_distinct`) makes them so.
 
-No function here changes a built graph, so a graph can be shared across
-threads.
+A graph is never changed after it is built and stores none of its
+caller's arrays, so it can be shared across threads.
 
-Analysis runs on the Csr: weak components by array hook-and-shortcut;
+Analysis runs on the arrays: weak components by array hook-and-shortcut;
 strong ones by a degree mask, one forward-backward pass from the
 max-degree pivot (Hong, Rodia & Olukotun 2013) and an iterative Tarjan
-on the rest; a component's sub-CSR by a mask renumbered with `cumsum`,
+on the rest; a component's subgraph by a mask renumbered with `cumsum`,
 so its ids follow ascending original id exactly as `induced_subgraph`
-numbers them. A Csr computes each component kind once and keeps it, so
+numbers them. A graph computes each component kind once and keeps it, so
 one report finds each main component once.
 """
 
@@ -41,67 +43,19 @@ class Component:
         return len(self.members)
 
 
-class Csr:
-    """Immutable adjacency arrays: forward and reverse CSR of n nodes.
-
-    Both directions are sorted by (tail, head), so a graph has the same
-    arrays whatever order its arcs were submitted in. Component
-    labels and component sub-CSRs are computed on first use and kept, so
-    every metric run on one Csr shares them.
-    """
-
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        """`src`/`dst`: distinct, loop-free arcs, sorted by (tail, head)."""
-        self.n, self.m = n, len(src)
-        self.tails = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        self.fwd_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.tails, minlength=n))))
-        self.fwd_indices = dst.astype(np.int32)
-        self.rev_indptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
-        self.rev_indices = self.tails[np.argsort(dst * n + self.tails)].astype(np.int32)
-        self._labels: dict[str, np.ndarray] = {}
-        self._parts: dict[tuple[str, int], tuple[Csr, np.ndarray]] = {}
-
-    def symmetric(self) -> "Csr":
-        """Symmetric closure: every arc (a, b) also as (b, a)."""
-        n, heads = self.n, self.fwd_indices.astype(np.int64)
-        keys = _distinct(np.concatenate((self.tails * n + heads, heads * n + self.tails)))
-        return Csr(n, keys // n, keys % n)
-
-    def labels(self, kind: str) -> np.ndarray:
-        """Component of every node, named by its lowest node id."""
-        if kind not in ("weak", "strong"):
-            raise ValueError(f"component kind must be 'weak' or 'strong', got {kind!r}")
-        if kind not in self._labels:
-            self._labels[kind] = (_weak_labels if kind == "weak" else _strong_labels)(self)
-        return self._labels[kind]
-
-    def main_label(self, kind: str) -> int:
-        """Label of the largest component, ties broken by lowest node id."""
-        if self.n == 0:
-            raise ValueError("graph has no nodes, so no main component")
-        return int(np.argmax(np.bincount(self.labels(kind), minlength=self.n)))
-
-    def component(self, kind: str, label: Optional[int] = None) -> tuple["Csr", np.ndarray]:
-        """Sub-CSR of one component (default: the main one) and the original
-        id of each of its nodes. New ids follow ascending original id."""
-        label = self.main_label(kind) if label is None else label
-        key = (kind, label)
-        if key not in self._parts:
-            mask = self.labels(kind) == label
-            self._parts[key] = (Csr(*_masked_arcs(self, mask)), np.flatnonzero(mask))
-        return self._parts[key]
-
-
 _NO_ARCS = np.empty(0, dtype=np.int64)
 
 
-class DirectedGraph(Csr):
-    """A Csr built from arc submissions, with an address table.
+class DirectedGraph:
+    """Immutable adjacency arrays of n nodes, with an address table.
 
-    Node ids are consecutive integers starting at 0. Nodes built from
-    ledger records carry their address; synthetic graphs and unlabeled
-    Pajek files keep no address table at all.
+    `tails`/`fwd_indices` list the arcs sorted by (tail, head) and
+    `fwd_indptr` splits them by tail; `rev_indptr`/`rev_indices` list the
+    same arcs by (head, tail). Node ids are consecutive integers starting
+    at 0. Nodes built from ledger records carry their address; synthetic
+    graphs, components and unlabeled Pajek files keep no address table.
+    Component labels and component subgraphs are computed on first use and
+    kept, so every metric run on one graph shares them.
     """
 
     def __init__(self, n: int = 0, src: Sequence[int] = _NO_ARCS, dst: Sequence[int] = _NO_ARCS,
@@ -115,17 +69,32 @@ class DirectedGraph(Csr):
         """
         if n < 0:
             raise ValueError(f"node count must be >= 0, got {n}")
-        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
-        if len(src) and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+        src, dst = np.asarray(src), np.asarray(dst)
+        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError(f"an arc references a node id outside [0, {n})")
         if labels is not None and len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} nodes")
-        loop = src == dst
-        self.self_loop_count = int(loop.sum())
+        self.self_loop_count = int(np.count_nonzero(src == dst))
         self.pair_submissions = len(src) - self.self_loop_count
-        keys = _distinct(src[~loop] * n + dst[~loop])
-        super().__init__(n, keys // n, keys % n)  # n > 0 whenever there are keys
+        keys = src.astype(np.int64) * n + dst.astype(np.int64, copy=False)  # never the caller's
+        if self.self_loop_count:
+            keys = keys[src != dst]
+        if not (keys[1:] > keys[:-1]).all():  # not yet distinct and in (tail, head) order
+            keys = _distinct(keys)
+        self.n, self.m = n, len(keys)
         self._addresses = None if labels is None else list(labels)
+        self._labels: dict[str, np.ndarray] = {}
+        self._parts: dict[tuple[str, int], tuple[DirectedGraph, np.ndarray]] = {}
+        # the steps below reuse the buffer of `keys`, so besides the stored
+        # arrays one arc-length int64 array is alive (n > 0 if there are keys)
+        self.tails = keys // n
+        heads = np.remainder(keys, n, out=keys)
+        self.fwd_indptr = np.concatenate(([0], np.cumsum(np.bincount(self.tails, minlength=n))))
+        self.fwd_indices = heads.astype(np.int32)
+        self.rev_indptr = np.concatenate(([0], np.cumsum(np.bincount(heads, minlength=n))))
+        keys = np.add(np.multiply(heads, n, out=heads), self.tails, out=heads)
+        keys.sort()  # (head, tail) order
+        self.rev_indices = np.remainder(keys, n, out=keys).astype(np.int32)
 
     @property
     def node_count(self) -> int:
@@ -152,16 +121,53 @@ class DirectedGraph(Csr):
             return 0.0
         return (self.pair_submissions - self.arc_count) / self.pair_submissions
 
+    def symmetric(self) -> DirectedGraph:
+        """Symmetric closure: for every arc (a, b) ensure (b, a) exists too.
 
-def _masked_arcs(csr: Csr, mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        The node set and labels are preserved. Each arc is submitted once
+        in each direction, so a mutual pair counts as two reused
+        submissions; the original submission counts are not carried over
+        (the closure is an analysis artifact, not a transaction record).
+        """
+        heads = self.fwd_indices.astype(np.int64)
+        return DirectedGraph(self.n, np.concatenate((self.tails, heads)),
+                             np.concatenate((heads, self.tails)), self._addresses)
+
+    def labels(self, kind: str) -> np.ndarray:
+        """Component of every node, named by its lowest node id."""
+        if kind not in ("weak", "strong"):
+            raise ValueError(f"component kind must be 'weak' or 'strong', got {kind!r}")
+        if kind not in self._labels:
+            self._labels[kind] = (_weak_labels if kind == "weak" else _strong_labels)(self)
+        return self._labels[kind]
+
+    def main_label(self, kind: str) -> int:
+        """Label of the largest component, ties broken by lowest node id."""
+        if self.n == 0:
+            raise ValueError("graph has no nodes, so no main component")
+        return int(np.argmax(np.bincount(self.labels(kind), minlength=self.n)))
+
+    def component(self, kind: str,
+                  label: Optional[int] = None) -> tuple[DirectedGraph, np.ndarray]:
+        """Subgraph of one component (default: the main one) and the original
+        id of each of its nodes. New ids follow ascending original id."""
+        label = self.main_label(kind) if label is None else label
+        key = (kind, label)
+        if key not in self._parts:
+            mask = self.labels(kind) == label
+            self._parts[key] = (DirectedGraph(*_masked_arcs(self, mask)), np.flatnonzero(mask))
+        return self._parts[key]
+
+
+def _masked_arcs(csr: DirectedGraph, mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Node count and arcs of the subgraph on the nodes `mask` selects,
     renumbered in ascending original id, so still sorted by (tail, head)."""
-    new_id = np.cumsum(mask) - 1
+    new_id = np.cumsum(mask, dtype=np.int32) - 1  # int32: ids below 2**31, half the bytes
     keep = mask[csr.tails] & mask[csr.fwd_indices]
     return int(mask.sum()), new_id[csr.tails[keep]], new_id[csr.fwd_indices[keep]]
 
 
-def _weak_labels(csr: Csr) -> np.ndarray:
+def _weak_labels(csr: DirectedGraph) -> np.ndarray:
     """Hook-and-shortcut union-find over the arc arrays.
 
     Every node points at a smaller or equal id, so each tree's root is its
@@ -233,7 +239,7 @@ def _reach(indptr: np.ndarray, indices: np.ndarray, seeds: Sequence[int]) -> np.
     return seen
 
 
-def _strong_labels(csr: Csr) -> np.ndarray:
+def _strong_labels(csr: DirectedGraph) -> np.ndarray:
     """A node lacking in- or out-arcs is its own component; so is what the
     max-degree pivot reaches and is reached from; Tarjan labels the rest."""
     out_deg, in_deg = np.diff(csr.fwd_indptr), np.diff(csr.rev_indptr)
@@ -246,11 +252,11 @@ def _strong_labels(csr: Csr) -> np.ndarray:
         label[giant] = np.flatnonzero(giant)[0]
         rest &= ~giant
         ids = np.flatnonzero(rest)
-        label[ids] = ids[_tarjan_labels(Csr(*_masked_arcs(csr, rest)))]
+        label[ids] = ids[_tarjan_labels(DirectedGraph(*_masked_arcs(csr, rest)))]
     return label
 
 
-def _tarjan_labels(csr: Csr) -> np.ndarray:
+def _tarjan_labels(csr: DirectedGraph) -> np.ndarray:
     """Tarjan's algorithm, iterative to cope with deep ledgers' chains."""
     n, ptr, heads = csr.n, csr.fwd_indptr.tolist(), csr.fwd_indices.tolist()
     cursor = ptr[:-1]  # next unexplored arc of each node
@@ -292,7 +298,7 @@ def _tarjan_labels(csr: Csr) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def _components(graph: Csr, kind: str) -> list[Component]:
+def _components(graph: DirectedGraph, kind: str) -> list[Component]:
     labels = graph.labels(kind)
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1) if len(order) else []
@@ -300,35 +306,26 @@ def _components(graph: Csr, kind: str) -> list[Component]:
     return [Component(frozenset(g.tolist()), kind, is_main=(i == 0)) for i, g in enumerate(groups)]
 
 
-def weakly_connected_components(graph: Csr) -> list[Component]:
+def weakly_connected_components(graph: DirectedGraph) -> list[Component]:
     """Weakly connected components, largest first (ties: lowest node id);
     the first one is the main component."""
     return _components(graph, "weak")
 
 
-def strongly_connected_components(graph: Csr) -> list[Component]:
+def strongly_connected_components(graph: DirectedGraph) -> list[Component]:
     """Strongly connected components, ordered like the weak ones."""
     return _components(graph, "strong")
 
 
-def main_component(graph: Csr, kind: str) -> Component:
+def main_component(graph: DirectedGraph, kind: str) -> Component:
     """The largest component of the requested kind ("weak" or "strong")."""
     members = np.flatnonzero(graph.labels(kind) == graph.main_label(kind))
     return Component(frozenset(members.tolist()), kind, is_main=True)
 
 
 def undirected_projection(graph: DirectedGraph) -> DirectedGraph:
-    """Symmetric closure: for every arc (a, b) ensure (b, a) exists too.
-
-    The node set and labels are preserved. Each arc is submitted once in
-    each direction, so a mutual pair counts as two reused submissions; the
-    original submission counts are not carried over (the projection is an
-    analysis artifact, not a transaction record).
-    """
-    tails, heads = graph.tails, graph.fwd_indices.astype(np.int64)
-    return DirectedGraph(
-        graph.n, np.concatenate((tails, heads)), np.concatenate((heads, tails)), graph._addresses
-    )
+    """Symmetric closure of `graph`: `graph.symmetric()`."""
+    return graph.symmetric()
 
 
 def induced_subgraph(

@@ -1,8 +1,9 @@
 """Graph analysis suite: degrees, clustering, shortest paths, load.
 
-Every metric reads a `graph.Csr`, and a DirectedGraph is one. The metrics
-`build_metrics_report` runs on one graph share the component labels and
-the main component's sub-CSR, which the Csr computes once and keeps.
+Every metric reads the CSR arrays of a `graph.DirectedGraph`. The
+metrics `build_metrics_report` runs on one graph share the component
+labels and the main component's subgraph, which the graph computes once
+and keeps.
 
 - Degrees come from the row pointers, mutual pairs from a binary search
   over the sorted arc keys.
@@ -49,7 +50,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import Csr, _arc_slots, _distinct, _reach
+from .graph import DirectedGraph, _arc_slots, _distinct, _reach
 
 log = logging.getLogger("ledgergraph")
 
@@ -79,7 +80,7 @@ class DegreeHistogram:
     max_hubs: list[tuple[int, int]]
 
 
-def degree_distribution(graph: Csr, hub_count: int = 10) -> DegreeHistogram:
+def degree_distribution(graph: DirectedGraph, hub_count: int = 10) -> DegreeHistogram:
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
@@ -108,7 +109,7 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
-def _local_clustering(csr: Csr, directed: bool = False) -> np.ndarray:
+def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
     """Clustering coefficient of every node, by degree-ordered triangle
     listing (Latapy 2008) on the undirected simple projection: each edge
     points from its lower (degree, id) end to the higher one, so a triangle
@@ -158,7 +159,7 @@ def _ordered_mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 
-def clustering_coefficient(graph: Csr, node: int, directed: bool = False) -> float:
+def clustering_coefficient(graph: DirectedGraph, node: int, directed: bool = False) -> float:
     """Fraction of this node's neighbor pairs that are themselves linked.
 
     Neighbors are the distinct in- and out-neighbors. By default linkage is
@@ -169,7 +170,7 @@ def clustering_coefficient(graph: Csr, node: int, directed: bool = False) -> flo
 
 
 def average_clustering(
-    graph: Csr,
+    graph: DirectedGraph,
     nodes: Optional[Iterable[int]] = None,
     directed: bool = False,
 ) -> float:
@@ -205,6 +206,8 @@ class SamplePlan:
     def __post_init__(self) -> None:
         if not (0.0 < self.fraction <= 1.0):
             raise ValueError(f"sample fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.component not in ("weak_main", "strong_main"):
             raise ValueError(
                 f"component must be 'weak_main' or 'strong_main', got {self.component!r}"
@@ -219,7 +222,7 @@ def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _in_degree_order(sub: Csr, keep: np.ndarray) -> tuple[Csr, np.ndarray]:
+def _in_degree_order(sub: DirectedGraph, keep: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
     """Subgraph on the nodes `keep` selects, renumbered by descending
     in-degree within it (ties: ascending id), and each old node's new id
     (meaningless for a node not kept)."""
@@ -227,18 +230,13 @@ def _in_degree_order(sub: Csr, keep: np.ndarray) -> tuple[Csr, np.ndarray]:
     kept = np.flatnonzero(keep)
     in_deg = np.bincount(sub.fwd_indices[arc], minlength=sub.n)
     order = kept[np.argsort(-in_deg[kept], kind="stable")]
-    n = len(order)
     new_id = np.zeros(sub.n, dtype=np.int64)
-    new_id[order] = np.arange(n)
-    keys = new_id[sub.tails[arc]] * n + new_id[sub.fwd_indices[arc]]
-    keys.sort()
-    tails, heads = np.divmod(keys, n)
-    del keys  # freed before the Csr allocates its own sort keys
-    return Csr(n, tails, heads), new_id
+    new_id[order] = np.arange(len(order))
+    return DirectedGraph(len(order), new_id[sub.tails[arc]], new_id[sub.fwd_indices[arc]]), new_id
 
 
-def _diagonal_pull(csr: Csr) -> Callable[[np.ndarray], np.ndarray]:
-    """Pull step for a Csr whose in-degrees descend: or into each node the
+def _diagonal_pull(csr: DirectedGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Pull step for a graph whose in-degrees descend: or into each node the
     frontier bitsets of all its in-neighbours.
 
     Column j (the j-th in-arcs, a jagged diagonal) covers a prefix of the
@@ -271,7 +269,8 @@ def _diagonal_pull(csr: Csr) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _batch_pair_sums(
-    csr: Csr, batch: np.ndarray, targets: np.ndarray, pull: Callable[[np.ndarray], np.ndarray]
+    csr: DirectedGraph, batch: np.ndarray, targets: np.ndarray,
+    pull: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[int, int, int, int]:
     """Distance sum and pair count from <=64 sources to the target set,
     and the levels pushed and pulled; each level picks by the rule in the
@@ -308,7 +307,7 @@ def _batch_pair_sums(
     return total, pairs, pushes, level - pushes
 
 
-def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
+def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
     """Average shortest path length over the sampled main component.
 
     Draws ceil(fraction * |main|) distinct nodes (seeded) and averages the
@@ -348,7 +347,7 @@ def aspl(graph: Csr, plan: SamplePlan, workers: int = 1) -> tuple[float, int]:
 # load centrality
 
 
-def _brandes_chunk(csr: Csr, sources: np.ndarray) -> np.ndarray:
+def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> np.ndarray:
     """Pair-dependency totals contributed by `sources` (unnormalized).
 
     Sweeps _BRANDES_BATCH sources at a time; node v of batch source b is
@@ -406,7 +405,7 @@ def _brandes_chunk(csr: Csr, sources: np.ndarray) -> np.ndarray:
     return cb
 
 
-def _betweenness(csr: Csr, workers: int) -> np.ndarray:
+def _betweenness(csr: DirectedGraph, workers: int) -> np.ndarray:
     """Unnormalized directed betweenness of every node (Brandes)."""
     sources = np.arange(csr.n, dtype=np.int32)
     chunks = [sources[i : i + _BRANDES_CHUNK] for i in range(0, csr.n, _BRANDES_CHUNK)]
@@ -414,7 +413,7 @@ def _betweenness(csr: Csr, workers: int) -> np.ndarray:
     return sum(_run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers), np.zeros(csr.n))
 
 
-def load_centrality(graph: Csr, nodes: Sequence[int], workers: int = 1) -> list[float]:
+def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1) -> list[float]:
     """Fraction of shortest paths between other nodes passing through each node.
 
     Paths are directed; equal-length alternatives split the credit. Each
@@ -473,7 +472,7 @@ class MetricsReport:
 
 
 def build_metrics_report(
-    graph: Csr,
+    graph: DirectedGraph,
     plan: SamplePlan,
     hub_count: int = 10,
     workers: int = 1,
@@ -482,8 +481,7 @@ def build_metrics_report(
     """Run the full analysis suite on one graph.
 
     `edge_reuse_ratio` can be supplied from ingestion stats when the graph
-    was loaded from Pajek (the format keeps no repeat submissions); it
-    must be supplied for a plain Csr, which keeps none either.
+    was loaded from Pajek (the format keeps no repeat submissions).
     """
     n = graph.n
     if n == 0:

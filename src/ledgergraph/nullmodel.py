@@ -40,6 +40,8 @@ class RandomGraphSpec:
     def __post_init__(self) -> None:
         if self.node_count < 0:
             raise ValueError("node_count must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if (self.edge_count is None) == (self.edge_probability is None):
             raise ValueError("give exactly one of edge_count or edge_probability")
         if self.edge_probability is not None and not (0.0 <= self.edge_probability <= 1.0):

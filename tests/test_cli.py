@@ -174,6 +174,18 @@ def test_negative_hubs_or_no_workers_is_usage_error(tmp_path, capsys, command, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("sample", ["0.5", "1.0"])
+def test_negative_seed_is_usage_error_before_the_graph_is_read(tmp_path, capsys, command,
+                                                                sample):
+    out = tmp_path / "r.json"
+    # the graph file does not exist: reading it would be a data error (3)
+    assert main([command, "--in", str(tmp_path / "missing.net"), "--out", str(out),
+                 "--sample", sample, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == f"ledgergraph {command}: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_build_label_pajek_cannot_quote_is_data_error(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     records = [TransactionRecord("ripple", ("r1",), ('r"2',), T0, "Payment")]

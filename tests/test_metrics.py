@@ -364,6 +364,10 @@ class TestAspl:
         with pytest.raises(ValueError):
             SamplePlan(component="both")
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SamplePlan(seed=-1)
+
     def test_sampled_estimate_is_close_on_small_world(self):
         g = watts_strogatz(1500, 8, 0.1, seed=4)
         exact, _ = aspl(g, SamplePlan(fraction=1.0))

@@ -32,6 +32,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RandomGraphSpec(node_count=3, edge_probability=1.5)
 
+    def test_negative_seed_is_named(self):
+        for spec in ({"edge_count": 2}, {"edge_probability": 0.5}):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                RandomGraphSpec(node_count=3, seed=-1, **spec)
+
 
 class TestGnm:
     def test_saturated_graph_is_complete(self):
