@@ -78,6 +78,10 @@ def _json_object(path: str, what: str) -> dict:
     return doc
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    return f"{path}: not UTF-8 text ({exc.reason})"
+
+
 def _require_out_dir(path: str) -> None:
     """Fail before any work when the directory `path` goes in is missing."""
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -170,6 +174,9 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except RecordSchemaError as exc:  # a local dump that is not in the dump format
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except UnicodeDecodeError as exc:  # only a local dump is decoded as a text file
+        print(f"ledgergraph fetch: {_not_utf8(job.source, exc)}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_FETCH
@@ -195,6 +202,9 @@ def cmd_build(args: argparse.Namespace) -> int:
             addresses, keys, stats = ingest_dump(fh)
     except (RecordSchemaError, OSError) as exc:
         print(f"ledgergraph build: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"ledgergraph build: {_not_utf8(args.dump, exc)}", file=sys.stderr)
         return EXIT_DATA
     log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,
              stats.skipped_records, stats.unique_arcs, time.perf_counter() - t0)
@@ -362,6 +372,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
+    # ledgergraph calls no BLAS routine, so numpy need not start OpenBLAS's
+    # thread pool at import (tens of ms, and one idle thread per core); this
+    # runs before any command imports numpy, and a value already set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

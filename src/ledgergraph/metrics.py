@@ -24,16 +24,23 @@ and keeps.
   prefix, a jagged diagonal (Saad, Iterative Methods for Sparse Linear
   Systems, 2nd ed. 2003, JDS format): a pull is one gather and one or
   per diagonal while _MIN_COLUMN nodes reach it, and one reduceat over
-  the few hubs' deeper in-arcs.
+  the few hubs' deeper in-arcs. A level's active set (the nodes whose
+  new bitset is nonzero) is read off a reused boolean mask, which
+  flatnonzero scans faster than the uint64 lanes, and a push reads its
+  counts from one out-degree array made per `aspl` call.
 - Load centrality is normalized shortest-path betweenness (it matches
   networkx.betweenness_centrality, not Goh load or
   networkx.load_centrality). It uses Brandes' per-source accumulation of
   pair dependencies: a forward BFS with path counting, then a reverse
   sweep. Sources run in batches of 16 that share each level's numpy
   calls: source b of a batch owns row b of flat k x n state arrays, and a
-  level touches only the arcs leaving the batch's frontier. Path counts
-  are exact integers in float64 and every dependency sum runs in the
-  same order as a one-source-at-a-time pass, so batching changes no bit.
+  level touches only the arcs leaving the batch's frontier: their counts
+  come from one out-degree array per chunk, and their tails, in the
+  same order, from repeating each frontier entry once per arc. Path
+  counts are exact integers in float64 and every dependency sum runs in
+  the same order as a one-source-at-a-time pass, so batching changes no
+  bit. Each measured component logs its nodes, non-sink sources,
+  chunks and BFS levels.
 
 Worker pools only change which thread runs which fixed chunk of sources;
 chunk boundaries and the reduction order never depend on the worker count,
@@ -270,7 +277,7 @@ def _diagonal_pull(csr: DirectedGraph) -> Callable[[np.ndarray], np.ndarray]:
 
 def _batch_pair_sums(
     csr: DirectedGraph, batch: np.ndarray, targets: np.ndarray,
-    pull: Callable[[np.ndarray], np.ndarray],
+    pull: Callable[[np.ndarray], np.ndarray], out_deg: np.ndarray,
 ) -> tuple[int, int, int, int]:
     """Distance sum and pair count from <=64 sources to the target set,
     and the levels pushed and pulled; each level picks by the rule in the
@@ -279,24 +286,24 @@ def _batch_pair_sums(
     frontier[batch] = np.uint64(1) << np.arange(len(batch), dtype=np.uint64)
     unseen = ~frontier
     active = batch  # nodes whose frontier bitset is nonzero
+    mask = np.empty(csr.n, dtype=bool)
     total = 0
     pairs = 0
     level = 0
     pushes = 0
     while True:
         level += 1
-        starts = csr.fwd_indptr[active]
-        counts = csr.fwd_indptr[active + 1] - starts
+        counts = out_deg[active]
         arcs = int(counts.sum())
         if arcs * _PUSH_ALPHA < csr.m:
             pushes += 1
             pulled = np.zeros(csr.n, dtype=np.uint64)
-            heads = csr.fwd_indices[_arc_slots(starts, counts, arcs)]
+            heads = csr.fwd_indices[_arc_slots(csr.fwd_indptr[active], counts, arcs)]
             np.bitwise_or.at(pulled, heads, np.repeat(frontier[active], counts))
         else:
             pulled = pull(frontier)
         new = np.bitwise_and(pulled, unseen, out=pulled)
-        active = np.flatnonzero(new)
+        active = np.flatnonzero(np.not_equal(new, 0, out=mask))
         if not active.size:
             break
         unseen ^= new
@@ -333,8 +340,10 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     sub, new_id = _in_degree_order(sub, keep)
     sample = new_id[sample]
     pull = _diagonal_pull(sub)
+    out_deg = np.diff(sub.fwd_indptr)
     batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
-    results = _run_ordered(batches, lambda b: _batch_pair_sums(sub, b, sample, pull), workers)
+    results = _run_ordered(batches, lambda b: _batch_pair_sums(sub, b, sample, pull, out_deg),
+                           workers)
     total, pairs, pushes, pulls = (sum(r[i] for r in results) for i in range(4))
     log.info("aspl: %d of %d nodes kept, %d sources in %d batches, %d push + %d pull levels",
              sub.n, n, len(sample), len(batches), pushes, pulls)
@@ -347,19 +356,22 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
 # load centrality
 
 
-def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> np.ndarray:
-    """Pair-dependency totals contributed by `sources` (unnormalized).
+def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Pair-dependency totals contributed by `sources` (unnormalized), and
+    the non-sink sources and BFS levels swept.
 
     Sweeps _BRANDES_BATCH sources at a time; node v of batch source b is
     entry b*n + v of the flat state arrays.
     """
     n = csr.n
-    indptr, indices, tails = csr.fwd_indptr, csr.fwd_indices, csr.tails
-    sources = sources[indptr[sources + 1] > indptr[sources]]  # sinks add nothing
+    indptr, indices = csr.fwd_indptr, csr.fwd_indices
+    out_deg = np.diff(indptr)
+    sources = sources[out_deg[sources] > 0]  # sinks add nothing
     cb = np.zeros(n, dtype=np.float64)
     dist = np.full(_BRANDES_BATCH * n, -1, dtype=np.int32)
     sigma = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
     delta = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
+    levels = 0
     for lo in range(0, len(sources), _BRANDES_BATCH):
         batch = sources[lo : lo + _BRANDES_BATCH]
         roots = np.arange(len(batch), dtype=np.int64) * n + batch
@@ -371,19 +383,16 @@ def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> np.ndarray:
         level = 0
         while True:
             v = frontier % n
-            starts = indptr[v]
-            counts = indptr[v + 1] - starts
+            counts = out_deg[v]
             total = int(counts.sum())
             if total == 0:
                 break
-            arc = _arc_slots(starts, counts, total)
-            row = np.repeat(frontier - v, counts)
-            heads = indices[arc] + row
+            heads = indices[_arc_slots(indptr[v], counts, total)] + np.repeat(frontier - v, counts)
             on_tree = dist[heads] < 0  # first reached at this level
             h = heads[on_tree]
             if h.size == 0:
                 break
-            t = tails[arc[on_tree]] + row[on_tree]
+            t = np.repeat(frontier, counts)[on_tree]  # each arc's tail, in its batch row
             nxt = _distinct(h)
             level += 1
             dist[nxt] = level
@@ -391,6 +400,7 @@ def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> np.ndarray:
             tree_levels.append((h, t))
             touched.append(nxt)
             frontier = nxt
+        levels += level
         for h, t in reversed(tree_levels):
             np.add.at(delta, t, sigma[t] / sigma[h] * (1.0 + delta[h]))
         delta[roots] = 0.0
@@ -402,15 +412,18 @@ def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> np.ndarray:
         dist[reached] = -1
         sigma[reached] = 0.0
         delta[reached] = 0.0
-    return cb
+    return cb, len(sources), levels
 
 
-def _betweenness(csr: DirectedGraph, workers: int) -> np.ndarray:
-    """Unnormalized directed betweenness of every node (Brandes)."""
+def _betweenness(csr: DirectedGraph, workers: int) -> tuple[np.ndarray, int, int, int]:
+    """Unnormalized directed betweenness of every node (Brandes), and the
+    non-sink sources, chunks and BFS levels it took."""
     sources = np.arange(csr.n, dtype=np.int32)
     chunks = [sources[i : i + _BRANDES_CHUNK] for i in range(0, csr.n, _BRANDES_CHUNK)]
+    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers)
     # chunk partials add up in chunk order, whatever the worker count
-    return sum(_run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers), np.zeros(csr.n))
+    cb = sum((r[0] for r in results), np.zeros(csr.n))
+    return cb, sum(r[1] for r in results), len(chunks), sum(r[2] for r in results)
 
 
 def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1) -> list[float]:
@@ -425,7 +438,9 @@ def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1
     out: dict[int, float] = {}
     for label in set(labels[list(nodes)].tolist()):
         sub, original = graph.component("weak", label)
-        cb = _betweenness(sub, workers)  # all 0 below 3 nodes: no path has an inner node
+        cb, sources, chunks, levels = _betweenness(sub, workers)  # all 0 below 3 nodes
+        log.info("load centrality: %d-node component, %d sources in %d chunks, %d BFS levels",
+                 sub.n, sources, chunks, levels)
         norm = max((sub.n - 1) * (sub.n - 2), 1)
         for v in nodes:
             if labels[v] == label:

@@ -98,3 +98,24 @@ def multi_component_digraph(sizes=(397, 61, 19, 2, 1), seed=2021) -> DirectedGra
             link(u, v)
         lo += size
     return graph_from(pairs, sum(sizes))
+
+
+def ledger_day(n_tx: int, seed: int, hubs: int = 200) -> DirectedGraph:
+    """Hub-heavy Ripple-style day, the benchmark's `ledger_day` recipe.
+
+    Each endpoint of a payment is, with probability 0.3, a Zipf(1.8) draw
+    over `hubs` hub addresses, and otherwise uniform over 2 other
+    addresses per 5 payments. A few hubs then carry most of the arcs and
+    most shortest paths run through them. Self-payments are dropped.
+    """
+    rng = random.Random(seed)
+    others = max(1, 2 * n_tx // 5)
+    weights = [k ** -1.8 for k in range(1, hubs + 1)]
+
+    def endpoint() -> int:
+        if rng.random() < 0.3:
+            return rng.choices(range(hubs), weights)[0]
+        return hubs + rng.randrange(others)
+
+    pairs = [(endpoint(), endpoint()) for _ in range(n_tx)]
+    return graph_from([(a, b) for a, b in pairs if a != b], hubs + others)

@@ -229,6 +229,56 @@ def test_analysis_never_imports_numpy_ma(tmp_path, args):
                     "--out", str(tmp_path / "r.json"), "--sample", "0.3"], env=env, check=True)
 
 
+_ENTRY_CHILD = """
+import os
+from ledgergraph.cli import entry
+try:
+    entry()
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
+def _run_entry_child(tmp_path, preset):
+    """Run `entry()` on `compare` in a child whose OPENBLAS_NUM_THREADS is
+    `preset` (None: unset). Returns the child's value after the command and
+    its thread count ("None" without /proc), as printed."""
+    net = tmp_path / "g.net"
+    net.write_text(pajek_dumps(random_digraph(300, 900, 4)))
+    src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", _ENTRY_CHILD, "compare", "--in", str(net),
+                           "--out", str(tmp_path / "r.json"), "--sample", "0.3"],
+                          env=env, check=True, capture_output=True, text=True)
+    return done.stdout.split()[-2:]
+
+
+def test_entry_pins_openblas_to_one_thread(tmp_path):
+    value, tasks = _run_entry_child(tmp_path, None)
+    assert value == "1"
+    if tasks == "None":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert tasks == "1"  # numpy was imported and started no BLAS thread
+
+
+def test_entry_keeps_a_preset_openblas_thread_count(tmp_path):
+    assert _run_entry_child(tmp_path, "3")[0] == "3"
+
+
+def test_main_in_process_leaves_environment_untouched(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    net = tmp_path / "g.net"
+    net.write_text(pajek_dumps(random_digraph(60, 180, 4)))
+    before = dict(os.environ)
+    assert main(["compare", "--in", str(net), "--out", str(tmp_path / "r.json")]) == 0
+    assert dict(os.environ) == before
+
+
 def test_compare_flags_small_world_fixture(tmp_path):
     g = watts_strogatz(800, 10, 0.1, seed=12)
     net = tmp_path / "ws.net"
@@ -363,6 +413,20 @@ def test_fetch_local_dump_schema_error_exits_three(tmp_path, capsys):
                  "--out", str(out), "--in", str(dump)])
     assert code == 3
     assert capsys.readouterr().err == "ledgergraph fetch: line 1: unknown ledger 'nope'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "fetch"])
+def test_dump_that_is_not_utf8_exits_three(tmp_path, capsys, command):
+    dump = tmp_path / "dump.ndjson"
+    dump.write_bytes(b"\xff\xfe" + "\n".join(['{"ledger": "ripple"}'] * 3).encode("utf-16-le"))
+    out = tmp_path / "out"
+    window = ["--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02"]
+    argv = [command, *(window if command == "fetch" else []), "--in", str(dump),
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (f"ledgergraph {command}: {dump}: "
+                                       "not UTF-8 text (invalid start byte)\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """numpy is ledgergraph's only runtime dependency: every other import in
-the package is the standard library or the package itself."""
+the package is the standard library or the package itself. And the
+package calls no BLAS routine through it."""
 
 import ast
 import re
@@ -36,3 +37,22 @@ def test_pyproject_lists_only_numpy():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         dependencies = tomllib.load(fh)["project"]["dependencies"]
     assert [re.split(r"[<>=!~;\[ ]", dep)[0] for dep in dependencies] == ["numpy"]
+
+
+_BLAS_NAMES = {"dot", "vdot", "inner", "outer", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_blas_call():
+    # `ledgergraph` starts with OPENBLAS_NUM_THREADS=1 because it calls no
+    # BLAS or LAPACK routine; a call like these would run single-threaded
+    found = []
+    for path in sorted((ROOT / "src" / "ledgergraph").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno}: import {alias.name}"
+                          for alias in node.names if alias.name in _BLAS_NAMES]
+    assert found == []

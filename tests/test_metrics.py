@@ -21,7 +21,7 @@ from ledgergraph.metrics import (
 )
 
 import oracles
-from synth import graph_from, multi_component_digraph, random_digraph, watts_strogatz
+from synth import graph_from, ledger_day, multi_component_digraph, random_digraph, watts_strogatz
 
 
 def three_cycle():
@@ -445,6 +445,32 @@ class TestLoadCentrality:
         ]
         digest = hashlib.sha256(np.array(loads, dtype=np.float64).tobytes()).hexdigest()
         assert digest == "4cab27ffd02803f152fd712250cb4ace79f1e945dd374db02d23b899bd8279ed"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batching_changes_no_bit(self, monkeypatch, workers):
+        # Zipf hubs put most shortest paths, and many equal-length
+        # alternatives, through a few nodes: dependency sums there are
+        # long and fractional, so any change in their order shows
+        sub, _ = ledger_day(1500, 3).component("weak")
+        assert sub.n > 2 * metrics._BRANDES_CHUNK  # more than two chunks for the workers
+        batched, sources, chunks, levels = metrics._betweenness(sub, workers)
+        monkeypatch.setattr(metrics, "_BRANDES_BATCH", 1)
+        single, *counters = metrics._betweenness(sub, workers)
+        assert np.array_equal(batched, single)
+        assert counters[:2] == [sources, chunks] and counters[2] > levels
+        assert 0 < sources < sub.n  # some sinks were skipped
+
+    def test_logs_one_line_per_measured_component(self, caplog):
+        g = multi_component_digraph()
+        sizes = sorted((c for c in np.bincount(g.labels("weak")).tolist() if c), reverse=True)
+        with caplog.at_level("INFO", logger="ledgergraph"):
+            load_centrality(g, list(range(g.node_count)))
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("load centrality: ")]
+        assert len(lines) == len(sizes)
+        assert sorted((int(line.split()[2].split("-")[0]) for line in lines),
+                      reverse=True) == sizes
+        assert "394-node component, 287 sources in 2 chunks" in "\n".join(lines)
 
     def test_matches_networkx_betweenness_at_scale(self):
         # "Load" here is normalized shortest-path betweenness, so it must
