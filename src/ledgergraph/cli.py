@@ -66,13 +66,21 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _json_object(path: str, what: str) -> dict:
-    """The JSON object file `path` holds; a ValueError naming it otherwise."""
+def _read(path: str, parse):
+    # parse(the text file `path`); a ValueError naming the file if it is not UTF-8
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(_not_utf8(path, exc)) from None
+
+
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object file `path` holds; a ValueError naming it otherwise."""
+    try:
+        doc = _read(path, json.load)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: {what} must be a JSON object")
     return doc
@@ -198,13 +206,9 @@ def cmd_build(args: argparse.Namespace) -> int:
     try:
         _require_out_dir(args.out)
         t0 = time.perf_counter()
-        with open(args.dump, encoding="utf-8") as fh:
-            addresses, keys, stats = ingest_dump(fh)
-    except (RecordSchemaError, OSError) as exc:
+        addresses, keys, stats = _read(args.dump, ingest_dump)
+    except (ValueError, OSError) as exc:  # RecordSchemaError is a ValueError
         print(f"ledgergraph build: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print(f"ledgergraph build: {_not_utf8(args.dump, exc)}", file=sys.stderr)
         return EXIT_DATA
     log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,
              stats.skipped_records, stats.unique_arcs, time.perf_counter() - t0)
@@ -265,8 +269,7 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
         _require_out_dir(args.out)
         edge_reuse = _stats_edge_reuse(args.stats)
         t0 = time.perf_counter()
-        with open(args.graph, encoding="utf-8") as fh:
-            graph = pajek.read_pajek(fh)
+        graph = _read(args.graph, pajek.read_pajek)
         log.info("graph load took %.2fs", time.perf_counter() - t0)
         t0 = time.perf_counter()
         report, real, summary = compute(graph, plan, edge_reuse)

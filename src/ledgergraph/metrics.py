@@ -32,15 +32,18 @@ and keeps.
   networkx.betweenness_centrality, not Goh load or
   networkx.load_centrality). It uses Brandes' per-source accumulation of
   pair dependencies: a forward BFS with path counting, then a reverse
-  sweep. Sources run in batches of 16 that share each level's numpy
-  calls: source b of a batch owns row b of flat k x n state arrays, and a
-  level touches only the arcs leaving the batch's frontier: their counts
-  come from one out-degree array per chunk, and their tails, in the
-  same order, from repeating each frontier entry once per arc. Path
-  counts are exact integers in float64 and every dependency sum runs in
-  the same order as a one-source-at-a-time pass, so batching changes no
-  bit. Each measured component logs its nodes, non-sink sources,
-  chunks and BFS levels.
+  sweep. A batch of up to 64 sources shares each level's numpy calls: as
+  in the ASPL BFS, a node's frontier and visited words hold one bit per
+  source, so a level expands each frontier node's arcs once (or, by the
+  same _PUSH_ALPHA rule, scans all m arcs), and only the set bits of its
+  tree arcs become entries b*n + v of one float array (path counts, then
+  dependencies). The width is what _BRANDES_STATE bytes of that array
+  hold, 16 to 64. Path counts are exact integers in float64 and every
+  dependency sum runs in the same order as a one-source pass, so
+  batching changes no bit. Sinks, and sources whose out-neighbours are
+  all sinks, add nothing and are skipped. Each measured component logs
+  its nodes, non-sink sources, chunks, BFS levels, batch width and
+  skipped sources.
 
 Worker pools only change which thread runs which fixed chunk of sources;
 chunk boundaries and the reduction order never depend on the worker count,
@@ -57,15 +60,17 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import DirectedGraph, _arc_slots, _distinct, _reach
+from .graph import DirectedGraph, _arc_slots, _reach
 
 log = logging.getLogger("ledgergraph")
 
 _BITS = 64  # BFS sources per bitset batch
-_PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
+_PUSH_ALPHA = 4  # an ASPL or Brandes level pushes while its frontier's out-arcs * this < m
 _MIN_COLUMN = 32  # an ASPL pull takes in-arc j as a column while this many nodes have one
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
-_BRANDES_BATCH = 16  # sources swept together inside a task
+_BRANDES_BATCH = 64  # most sources swept together inside a task (one bit each in a word)
+_BRANDES_MIN_BATCH = 16  # fewest, however large the component
+_BRANDES_STATE = 256 << 10  # bytes of path counts a batch wider than the fewest may fill
 _WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
 
 # ---------------------------------------------------------------------------
@@ -356,74 +361,125 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
 # load centrality
 
 
-def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """Pair-dependency totals contributed by `sources` (unnormalized), and
-    the non-sink sources and BFS levels swept.
+def _tree_entries(rows: np.ndarray, heads: np.ndarray, tails: np.ndarray,
+                  n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat head and tail entries of arc i for each bit b set in rows[i],
+    arc by arc, so that the arcs of each tail entry keep their CSR order.
+    (A function, so that its temporaries are freed before the level goes on.)"""
+    bit = np.unpackbits(rows.view(np.uint8), bitorder="little").view(bool).nonzero()[0]
+    shift = rows.itemsize.bit_length() + 2  # log2 of the bits in a word
+    arc = bit >> shift
+    bit &= (1 << shift) - 1
+    bit *= n
+    h = heads[arc]
+    h += bit
+    t = tails[arc]
+    t += bit
+    return h, t
 
-    Sweeps _BRANDES_BATCH sources at a time; node v of batch source b is
-    entry b*n + v of the flat state arrays.
+
+def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """Pair-dependency totals contributed by `sources` (unnormalized), and
+    the BFS levels swept.
+
+    Sweeps `width` sources at a time: node v of batch source b is entry
+    b*n + v of the flat array `acc` and bit b of v's frontier and visited
+    words.
     """
-    n = csr.n
+    n, m = csr.n, csr.m
     indptr, indices = csr.fwd_indptr, csr.fwd_indices
+    arc_heads = indices.astype(np.intp)
     out_deg = np.diff(indptr)
-    sources = sources[out_deg[sources] > 0]  # sinks add nothing
+    index = np.int32 if width * n < 1 << 31 else np.intp  # stored tree arcs
+    # the narrowest word with a bit per source; little-endian, so that its
+    # bytes unpack in bit order
+    word = np.dtype(f"<u{next(size for size in (1, 2, 4, 8) if 8 * size >= width)}")
+    bits = (np.uint64(1) << np.arange(width, dtype=np.uint64)).astype(word)
     cb = np.zeros(n, dtype=np.float64)
-    dist = np.full(_BRANDES_BATCH * n, -1, dtype=np.int32)
-    sigma = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
-    delta = np.zeros(_BRANDES_BATCH * n, dtype=np.float64)
+    acc = np.empty(width * n, dtype=np.float64)  # path counts, then dependencies
     levels = 0
-    for lo in range(0, len(sources), _BRANDES_BATCH):
-        batch = sources[lo : lo + _BRANDES_BATCH]
-        roots = np.arange(len(batch), dtype=np.int64) * n + batch
-        dist[roots] = 0
-        sigma[roots] = 1.0
-        frontier = roots
-        tree_levels: list[tuple[np.ndarray, np.ndarray]] = []
-        touched = [roots]
-        level = 0
+    for lo in range(0, len(sources), width):
+        batch = sources[lo : lo + width]
+        roots = np.arange(len(batch)) * n + batch
+        acc.fill(0.0)
+        acc[roots] = 1.0
+        front = np.zeros(n, dtype=word)
+        front[batch] = bits[: len(batch)]
+        seen = front.copy()
+        nodes = batch  # where `front` is nonzero
+        tree_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         while True:
-            v = frontier % n
-            counts = out_deg[v]
+            counts = out_deg[nodes]
             total = int(counts.sum())
             if total == 0:
                 break
-            heads = indices[_arc_slots(indptr[v], counts, total)] + np.repeat(frontier - v, counts)
-            on_tree = dist[heads] < 0  # first reached at this level
-            h = heads[on_tree]
-            if h.size == 0:
+            if total * _PUSH_ALPHA < m:  # push over the frontier's out-arcs, in CSR order
+                slots = _arc_slots(indptr[nodes], counts, total)
+                heads, tails = arc_heads[slots], csr.tails[slots]
+                rows = np.repeat(front[nodes], counts)
+            else:  # scan all m arcs: those not leaving the frontier get no bit
+                heads, tails = arc_heads, csr.tails
+                rows = front[tails]
+            rows &= ~seen[heads]  # bit b: a tree arc of source b
+            arcs = rows.nonzero()[0]
+            if arcs.size == 0:
                 break
-            t = np.repeat(frontier, counts)[on_tree]  # each arc's tail, in its batch row
-            nxt = _distinct(h)
-            level += 1
-            dist[nxt] = level
-            np.add.at(sigma, h, sigma[t])
-            tree_levels.append((h, t))
-            touched.append(nxt)
-            frontier = nxt
-        levels += level
-        for h, t in reversed(tree_levels):
-            np.add.at(delta, t, sigma[t] / sigma[h] * (1.0 + delta[h]))
-        delta[roots] = 0.0
+            rows, heads, tails = rows[arcs], heads[arcs], tails[arcs]
+            front = np.zeros(n, dtype=word)
+            np.bitwise_or.at(front, heads, rows)
+            seen |= front
+            nodes = front.nonzero()[0]
+            h, t = _tree_entries(rows, heads, tails, n)
+            ratio = acc[t]
+            np.add.at(acc, h, ratio)
+            ratio /= acc[h]  # sigma[t] / sigma[h]: both are final now
+            h, t = h.astype(index, copy=False), t.astype(index, copy=False)
+            tree_levels.append((h, t, ratio))
+        levels += len(tree_levels)
+        acc.fill(0.0)
+        while tree_levels:  # deepest first, each level freed once swept
+            h, t, ratio = tree_levels.pop()
+            h, t = h.astype(np.intp, copy=False), t.astype(np.intp, copy=False)
+            gain = acc[h]
+            gain += 1.0
+            gain *= ratio
+            np.add.at(acc, t, gain)
+        acc[roots] = 0.0
         # one row at a time, in source order, so every float sum runs in
         # the order of a one-source pass (entries a source misses are 0)
         for b in range(len(batch)):
-            cb += delta[b * n : (b + 1) * n]
-        reached = np.concatenate(touched)
-        dist[reached] = -1
-        sigma[reached] = 0.0
-        delta[reached] = 0.0
-    return cb, len(sources), levels
+            cb += acc[b * n : (b + 1) * n]
+    return cb, levels
+
+
+def _brandes_width(n: int) -> int:
+    """Sources per Brandes batch on an n-node component: as many as
+    _BRANDES_STATE bytes of path counts hold (8 per node and source), but
+    at least _BRANDES_MIN_BATCH and at most _BRANDES_BATCH."""
+    return min(_BRANDES_BATCH, max(_BRANDES_MIN_BATCH, _BRANDES_STATE // (8 * n)))
 
 
 def _betweenness(csr: DirectedGraph, workers: int) -> tuple[np.ndarray, int, int, int]:
     """Unnormalized directed betweenness of every node (Brandes), and the
-    non-sink sources, chunks and BFS levels it took."""
-    sources = np.arange(csr.n, dtype=np.int32)
-    chunks = [sources[i : i + _BRANDES_CHUNK] for i in range(0, csr.n, _BRANDES_CHUNK)]
-    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c), workers)
+    non-sink sources, chunks and BFS levels it took; logs them with the
+    batch width and the sources skipped."""
+    n = csr.n
+    live = np.diff(csr.fwd_indptr) > 0  # sinks add nothing
+    # nor does a source whose out-neighbours are all sinks: its every
+    # dependency is 0
+    feeds = np.zeros(n, dtype=bool)
+    feeds[csr.tails[live[csr.fwd_indices]]] = True
+    swept = np.flatnonzero(feeds)
+    chunks = np.split(swept, np.searchsorted(swept, range(_BRANDES_CHUNK, n, _BRANDES_CHUNK)))
+    width = _brandes_width(n)
+    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c, width), workers)
     # chunk partials add up in chunk order, whatever the worker count
-    cb = sum((r[0] for r in results), np.zeros(csr.n))
-    return cb, sum(r[1] for r in results), len(chunks), sum(r[2] for r in results)
+    cb = sum((r[0] for r in results), np.zeros(n))
+    sources, levels = int(live.sum()), sum(r[1] for r in results)
+    log.info("load centrality: %d-node component, %d sources in %d chunks, %d BFS levels, "
+             "batches of %d, %d zero-dependency sources skipped",
+             n, sources, len(chunks), levels, width, sources - len(swept))
+    return cb, sources, len(chunks), levels
 
 
 def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1) -> list[float]:
@@ -438,9 +494,7 @@ def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1
     out: dict[int, float] = {}
     for label in set(labels[list(nodes)].tolist()):
         sub, original = graph.component("weak", label)
-        cb, sources, chunks, levels = _betweenness(sub, workers)  # all 0 below 3 nodes
-        log.info("load centrality: %d-node component, %d sources in %d chunks, %d BFS levels",
-                 sub.n, sources, chunks, levels)
+        cb = _betweenness(sub, workers)[0]  # all 0 below 3 nodes
         norm = max((sub.n - 1) * (sub.n - 2), 1)
         for v in nodes:
             if labels[v] == label:

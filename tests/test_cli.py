@@ -549,6 +549,29 @@ def test_file_that_is_not_json_is_named(tmp_path, capsys, command, flag, expecte
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag,expected", [
+    ("compare", "--stats", 3), ("fetch", "--config", 1), ("report", "--in", 3),
+    ("analyze", "--in", 3), ("compare", "--in", 3)])
+def test_input_that_is_not_utf8_is_named(tmp_path, capsys, command, flag, expected):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe" + "*Vertices 3\n".encode("utf-16-le"))
+    net = tmp_path / "triangle.net"
+    net.write_text("*Vertices 3\n*Arcs\n1 2\n2 3\n3 1\n")
+    out = tmp_path / "out.json"
+    if command == "fetch":
+        argv = ["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+                "--out", str(out)]
+    elif command == "report":
+        argv = ["report"]
+    else:
+        argv = [command, "--sample", "1.0", "--out", str(out),
+                *(["--in", str(net)] if flag != "--in" else [])]
+    assert main([*argv, flag, str(bad)]) == expected
+    assert capsys.readouterr().err == (f"ledgergraph {command}: {bad}: "
+                                       "not UTF-8 text (invalid start byte)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "compare"])
 def test_stats_is_checked_before_the_graph_is_read(tmp_path, capsys, monkeypatch, command):
     def no_read(*args, **kwargs):

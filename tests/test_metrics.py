@@ -3,6 +3,8 @@ import itertools
 from collections import Counter
 import json
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,6 +473,51 @@ class TestLoadCentrality:
         assert sorted((int(line.split()[2].split("-")[0]) for line in lines),
                       reverse=True) == sizes
         assert "394-node component, 287 sources in 2 chunks" in "\n".join(lines)
+
+    def test_logs_width_and_skipped_sources(self, caplog):
+        # 1 and 3 lead only to the sink 2, so only 0 has a nonzero dependency
+        g = graph_from([(0, 1), (1, 2), (3, 2)])
+        with caplog.at_level("INFO", logger="ledgergraph"):
+            assert load_centrality(g, [1]) == [1 / 6]
+        assert ("load centrality: 4-node component, 3 sources in 1 chunks, 2 BFS levels, "
+                "batches of 64, 2 zero-dependency sources skipped") in caplog.text
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_batch_width_gives_the_same_bits(self, monkeypatch, caplog, workers):
+        # one source at a time, 24 (which does not divide a 256-source
+        # chunk), the width the budget picks here, and the widest a word holds
+        sub, _ = ledger_day(1500, 3).component("weak")
+
+        def run(**constants):
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(metrics, name, value)
+                caplog.clear()
+                with caplog.at_level("INFO", logger="ledgergraph"):
+                    cb = metrics._betweenness(sub, workers)[0]
+            return cb, int(re.search(r"batches of (\d+)", caplog.text).group(1))
+
+        default, width = run()
+        assert metrics._BRANDES_MIN_BATCH < width < metrics._BRANDES_BATCH
+        for constants, expected in (({"_BRANDES_BATCH": 1}, 1), ({"_BRANDES_BATCH": 24}, 24),
+                                    ({"_BRANDES_STATE": 1 << 40}, 64)):
+            cb, used = run(**constants)
+            assert used == expected and np.array_equal(cb, default)
+
+    def test_peak_memory_on_a_day_component(self):
+        # The batch width comes from a memory budget. The bound sits just
+        # above what the 16-wide kernel with int32 distances and sorted
+        # frontiers peaked at here (1.023 MiB); a sparse layout of that
+        # kind at width 64, with a bool visited array and an int64 owner
+        # array for its dedup, peaks at 4.0 MiB.
+        sub, _ = ledger_day(2500, 1).component("weak")
+        tracemalloc.start()
+        try:
+            metrics._betweenness(sub, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * 2**20
 
     def test_matches_networkx_betweenness_at_scale(self):
         # "Load" here is normalized shortest-path betweenness, so it must
