@@ -66,13 +66,17 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+class _NotUtf8(ValueError):
+    """An input file that is not UTF-8 text; the message names it."""
+
+
 def _read(path: str, parse):
-    # parse(the text file `path`); a ValueError naming the file if it is not UTF-8
+    """parse(the text file `path`); _NotUtf8 if the file is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(fh)
         except UnicodeDecodeError as exc:
-            raise ValueError(_not_utf8(path, exc)) from None
+            raise _NotUtf8(_not_utf8(path, exc)) from None
 
 
 def _json_object(path: str, what: str) -> dict:
@@ -182,7 +186,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except RecordSchemaError as exc:  # a local dump that is not in the dump format
         print(f"ledgergraph fetch: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except UnicodeDecodeError as exc:  # only a local dump is decoded as a text file
+    except UnicodeDecodeError as exc:  # a local dump, which fetch_transactions opens itself
         print(f"ledgergraph fetch: {_not_utf8(job.source, exc)}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
@@ -207,7 +211,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         _require_out_dir(args.out)
         t0 = time.perf_counter()
         addresses, keys, stats = _read(args.dump, ingest_dump)
-    except (ValueError, OSError) as exc:  # RecordSchemaError is a ValueError
+    except (RecordSchemaError, _NotUtf8, OSError) as exc:
         print(f"ledgergraph build: {exc}", file=sys.stderr)
         return EXIT_DATA
     log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,

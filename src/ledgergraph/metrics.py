@@ -33,17 +33,19 @@ and keeps.
   networkx.load_centrality). It uses Brandes' per-source accumulation of
   pair dependencies: a forward BFS with path counting, then a reverse
   sweep. A batch of up to 64 sources shares each level's numpy calls: as
-  in the ASPL BFS, a node's frontier and visited words hold one bit per
-  source, so a level expands each frontier node's arcs once (or, by the
-  same _PUSH_ALPHA rule, scans all m arcs), and only the set bits of its
-  tree arcs become entries b*n + v of one float array (path counts, then
-  dependencies). The width is what _BRANDES_STATE bytes of that array
-  hold, 16 to 64. Path counts are exact integers in float64 and every
-  dependency sum runs in the same order as a one-source pass, so
-  batching changes no bit. Sinks, and sources whose out-neighbours are
-  all sinks, add nothing and are skipped. Each measured component logs
-  its nodes, non-sink sources, chunks, BFS levels, batch width and
-  skipped sources.
+  in the ASPL BFS, a node's frontier and unvisited words hold one bit per
+  source, so a level pushes over each frontier node's out-arcs once, and
+  only the set bits of its tree arcs become entries b*n + v of one float
+  array (path counts, then dependencies). The width is what
+  _BRANDES_STATE bytes of that array hold, 16 to 64. Once a batch's
+  levels prove thin (under _THIN_LEVEL tree entries per source, as on a
+  long path), where a level's fixed calls outweigh its entries, the rest
+  of its chunk sweeps twice as many (at most 64). Path counts are exact
+  integers in float64 and every dependency sum runs in the same order as
+  a one-source pass, so batching changes no bit. Sinks, and sources
+  whose out-neighbours are all sinks, add nothing and are skipped. Each
+  measured component logs its nodes, non-sink sources, chunks, BFS
+  levels, batch widths and skipped sources.
 
 Worker pools only change which thread runs which fixed chunk of sources;
 chunk boundaries and the reduction order never depend on the worker count,
@@ -65,12 +67,13 @@ from .graph import DirectedGraph, _arc_slots, _reach
 log = logging.getLogger("ledgergraph")
 
 _BITS = 64  # BFS sources per bitset batch
-_PUSH_ALPHA = 4  # an ASPL or Brandes level pushes while its frontier's out-arcs * this < m
+_PUSH_ALPHA = 4  # an ASPL level pushes while its frontier's out-arcs * this < m
 _MIN_COLUMN = 32  # an ASPL pull takes in-arc j as a column while this many nodes have one
 _BRANDES_CHUNK = 256  # sources per load-centrality task (fixed: see module doc)
 _BRANDES_BATCH = 64  # most sources swept together inside a task (one bit each in a word)
 _BRANDES_MIN_BATCH = 16  # fewest, however large the component
 _BRANDES_STATE = 256 << 10  # bytes of path counts a batch wider than the fewest may fill
+_THIN_LEVEL = 32  # tree entries per level and source below which Brandes widens its batches
 _WEDGE_CHUNK = 1 << 16  # wedges checked per step of the triangle listing
 
 # ---------------------------------------------------------------------------
@@ -378,78 +381,91 @@ def _tree_entries(rows: np.ndarray, heads: np.ndarray, tails: np.ndarray,
     return h, t
 
 
-def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """Pair-dependency totals contributed by `sources` (unnormalized), and
-    the BFS levels swept.
+def _brandes_batch(csr: DirectedGraph, batch: np.ndarray, arc_heads: np.ndarray,
+                   out_deg: np.ndarray, cb: np.ndarray) -> tuple[int, int]:
+    """Add to `cb` the pair dependencies of each source in `batch` on
+    every node; return the BFS levels and tree entries swept.
 
-    Sweeps `width` sources at a time: node v of batch source b is entry
-    b*n + v of the flat array `acc` and bit b of v's frontier and visited
-    words.
+    Node v of source b is entry b*n + v of the flat array `acc` and bit b
+    of v's frontier and unvisited words. A level pushes over the frontier's
+    out-arcs in CSR order; `arc_heads` is `csr.fwd_indices` as intp.
     """
-    n, m = csr.n, csr.m
-    indptr, indices = csr.fwd_indptr, csr.fwd_indices
-    arc_heads = indices.astype(np.intp)
-    out_deg = np.diff(indptr)
-    index = np.int32 if width * n < 1 << 31 else np.intp  # stored tree arcs
+    n = csr.n
+    indptr = csr.fwd_indptr
+    index = np.int32 if len(batch) * n < 1 << 31 else np.intp  # stored tree entries
     # the narrowest word with a bit per source; little-endian, so that its
     # bytes unpack in bit order
-    word = np.dtype(f"<u{next(size for size in (1, 2, 4, 8) if 8 * size >= width)}")
-    bits = (np.uint64(1) << np.arange(width, dtype=np.uint64)).astype(word)
-    cb = np.zeros(n, dtype=np.float64)
-    acc = np.empty(width * n, dtype=np.float64)  # path counts, then dependencies
-    levels = 0
-    for lo in range(0, len(sources), width):
-        batch = sources[lo : lo + width]
-        roots = np.arange(len(batch)) * n + batch
-        acc.fill(0.0)
-        acc[roots] = 1.0
+    word = np.dtype(f"<u{next(size for size in (1, 2, 4, 8) if 8 * size >= len(batch))}")
+    roots = np.arange(len(batch)) * n + batch
+    acc = np.zeros(len(batch) * n, dtype=np.float64)  # path counts, then dependencies
+    acc[roots] = 1.0
+    front = np.zeros(n, dtype=word)
+    front[batch] = (np.uint64(1) << np.arange(len(batch), dtype=np.uint64)).astype(word)
+    unseen = ~front
+    nodes = batch  # where `front` is nonzero
+    tree_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    entries = 0
+    while True:
+        counts = out_deg[nodes]
+        slots = _arc_slots(indptr[nodes], counts, int(counts.sum()))
+        rows = np.repeat(front[nodes], counts)
+        heads = arc_heads[slots]
+        rows &= unseen[heads]  # bit b: a tree arc of source b
+        arcs = rows.nonzero()[0]
+        if arcs.size == 0:
+            break
+        rows, heads, slots = rows[arcs], heads[arcs], slots[arcs]
         front = np.zeros(n, dtype=word)
-        front[batch] = bits[: len(batch)]
-        seen = front.copy()
-        nodes = batch  # where `front` is nonzero
-        tree_levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        while True:
-            counts = out_deg[nodes]
-            total = int(counts.sum())
-            if total == 0:
-                break
-            if total * _PUSH_ALPHA < m:  # push over the frontier's out-arcs, in CSR order
-                slots = _arc_slots(indptr[nodes], counts, total)
-                heads, tails = arc_heads[slots], csr.tails[slots]
-                rows = np.repeat(front[nodes], counts)
-            else:  # scan all m arcs: those not leaving the frontier get no bit
-                heads, tails = arc_heads, csr.tails
-                rows = front[tails]
-            rows &= ~seen[heads]  # bit b: a tree arc of source b
-            arcs = rows.nonzero()[0]
-            if arcs.size == 0:
-                break
-            rows, heads, tails = rows[arcs], heads[arcs], tails[arcs]
-            front = np.zeros(n, dtype=word)
-            np.bitwise_or.at(front, heads, rows)
-            seen |= front
-            nodes = front.nonzero()[0]
-            h, t = _tree_entries(rows, heads, tails, n)
-            ratio = acc[t]
-            np.add.at(acc, h, ratio)
-            ratio /= acc[h]  # sigma[t] / sigma[h]: both are final now
-            h, t = h.astype(index, copy=False), t.astype(index, copy=False)
-            tree_levels.append((h, t, ratio))
-        levels += len(tree_levels)
-        acc.fill(0.0)
-        while tree_levels:  # deepest first, each level freed once swept
-            h, t, ratio = tree_levels.pop()
-            h, t = h.astype(np.intp, copy=False), t.astype(np.intp, copy=False)
-            gain = acc[h]
-            gain += 1.0
-            gain *= ratio
-            np.add.at(acc, t, gain)
-        acc[roots] = 0.0
-        # one row at a time, in source order, so every float sum runs in
-        # the order of a one-source pass (entries a source misses are 0)
-        for b in range(len(batch)):
-            cb += acc[b * n : (b + 1) * n]
-    return cb, levels
+        np.bitwise_or.at(front, heads, rows)
+        unseen ^= front
+        nodes = front.nonzero()[0]
+        h, t = _tree_entries(rows, heads, csr.tails[slots], n)
+        ratio = acc[t]
+        np.add.at(acc, h, ratio)
+        ratio /= acc[h]  # sigma[t] / sigma[h]: both are final now
+        h, t = h.astype(index, copy=False), t.astype(index, copy=False)
+        tree_levels.append((h, t, ratio))
+        entries += len(h)
+    levels = len(tree_levels)
+    acc.fill(0.0)
+    while tree_levels:  # deepest first, each level freed once swept
+        h, t, ratio = tree_levels.pop()
+        h, t = h.astype(np.intp, copy=False), t.astype(np.intp, copy=False)
+        gain = acc[h]
+        gain += 1.0
+        gain *= ratio
+        np.add.at(acc, t, gain)
+    acc[roots] = 0.0
+    # one row at a time, in source order, so every float sum runs in the
+    # order of a one-source pass (entries a source misses are 0)
+    for b in range(len(batch)):
+        cb += acc[b * n : (b + 1) * n]
+    return levels, entries
+
+
+def _brandes_chunk(csr: DirectedGraph, sources: np.ndarray, width: int, arc_heads: np.ndarray,
+                   out_deg: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Pair-dependency totals contributed by `sources` (unnormalized), the
+    BFS levels swept, and the batches swept twice as wide.
+
+    Sweeps `width` sources at a time, and after the first thin batch
+    twice as many (at most _BRANDES_BATCH). A batch is thin, as on a long
+    path, when its levels average under _THIN_LEVEL tree entries per
+    source: then each level's fixed numpy calls outweigh its entries.
+    """
+    cb = np.zeros(csr.n, dtype=np.float64)
+    base = width
+    levels = wide = 0
+    lo = 0
+    while lo < len(sources):
+        batch = sources[lo : lo + width]
+        lo += len(batch)
+        depth, entries = _brandes_batch(csr, batch, arc_heads, out_deg, cb)
+        levels += depth
+        wide += width > base
+        if entries < _THIN_LEVEL * depth * len(batch):
+            width = min(2 * base, _BRANDES_BATCH)
+    return cb, levels, wide
 
 
 def _brandes_width(n: int) -> int:
@@ -462,9 +478,10 @@ def _brandes_width(n: int) -> int:
 def _betweenness(csr: DirectedGraph, workers: int) -> tuple[np.ndarray, int, int, int]:
     """Unnormalized directed betweenness of every node (Brandes), and the
     non-sink sources, chunks and BFS levels it took; logs them with the
-    batch width and the sources skipped."""
+    batch widths and the sources skipped."""
     n = csr.n
-    live = np.diff(csr.fwd_indptr) > 0  # sinks add nothing
+    out_deg = np.diff(csr.fwd_indptr)
+    live = out_deg > 0  # sinks add nothing
     # nor does a source whose out-neighbours are all sinks: its every
     # dependency is 0
     feeds = np.zeros(n, dtype=bool)
@@ -472,13 +489,16 @@ def _betweenness(csr: DirectedGraph, workers: int) -> tuple[np.ndarray, int, int
     swept = np.flatnonzero(feeds)
     chunks = np.split(swept, np.searchsorted(swept, range(_BRANDES_CHUNK, n, _BRANDES_CHUNK)))
     width = _brandes_width(n)
-    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c, width), workers)
+    heads = csr.fwd_indices.astype(np.intp)
+    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c, width, heads, out_deg),
+                           workers)
     # chunk partials add up in chunk order, whatever the worker count
     cb = sum((r[0] for r in results), np.zeros(n))
     sources, levels = int(live.sum()), sum(r[1] for r in results)
     log.info("load centrality: %d-node component, %d sources in %d chunks, %d BFS levels, "
-             "batches of %d, %d zero-dependency sources skipped",
-             n, sources, len(chunks), levels, width, sources - len(swept))
+             "batches of %d (%d at %d after thin levels), %d zero-dependency sources skipped",
+             n, sources, len(chunks), levels, width, sum(r[2] for r in results),
+             min(2 * width, _BRANDES_BATCH), sources - len(swept))
     return cb, sources, len(chunks), levels
 
 

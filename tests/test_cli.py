@@ -430,6 +430,18 @@ def test_dump_that_is_not_utf8_exits_three(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_build_lets_a_fault_in_the_reader_surface(tmp_path, monkeypatch):
+    # only a dump's own faults (schema, encoding, I/O) are data errors
+    def broken(stream):
+        raise ValueError("not a data error")
+
+    monkeypatch.setattr("ledgergraph.cli.ingest_dump", broken)
+    dump = tmp_path / "dump.ndjson"
+    dump.write_text("")
+    with pytest.raises(ValueError, match="not a data error"):
+        main(["build", "--in", str(dump), "--out", str(tmp_path / "g.net")])
+
+
 @pytest.mark.parametrize("command", ["build", "fetch"])
 @pytest.mark.parametrize("stamp", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_dump_timestamp_exits_three(tmp_path, capsys, command, stamp):

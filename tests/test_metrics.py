@@ -480,7 +480,25 @@ class TestLoadCentrality:
         with caplog.at_level("INFO", logger="ledgergraph"):
             assert load_centrality(g, [1]) == [1 / 6]
         assert ("load centrality: 4-node component, 3 sources in 1 chunks, 2 BFS levels, "
-                "batches of 64, 2 zero-dependency sources skipped") in caplog.text
+                "batches of 64 (0 at 64 after thin levels), 2 zero-dependency sources skipped"
+                ) in caplog.text
+
+    def test_thin_levels_widen_the_batch_and_change_no_bit(self, monkeypatch, caplog):
+        # a 300-node cycle with 30 chords: its BFS levels hold a few nodes
+        # each, so after the first batch of 16 the rest run 32 wide: 8 in
+        # the 256-source chunk, 1 in the 44-source one
+        rng = random.Random(5)
+        arcs = [(v, (v + 1) % 300) for v in range(300)]
+        arcs += [(a, b) for a, b in ((rng.randrange(300), rng.randrange(300))
+                                     for _ in range(30)) if a != b]
+        g = graph_from(arcs, 300)
+        monkeypatch.setattr(metrics, "_BRANDES_STATE", 8 * 300 * 16)
+        with caplog.at_level("INFO", logger="ledgergraph"):
+            cb, _, _, levels = metrics._betweenness(g, 1)
+        assert "batches of 16 (9 at 32 after thin levels)" in caplog.text
+        monkeypatch.setattr(metrics, "_BRANDES_BATCH", 1)
+        single, *counters = metrics._betweenness(g, 1)
+        assert np.array_equal(cb, single) and counters[2] > levels
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_batch_width_gives_the_same_bits(self, monkeypatch, caplog, workers):
