@@ -17,7 +17,6 @@ The numpy-backed modules and `fetch` are imported by the commands that use them.
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
 import errno
 import json
 import logging
@@ -28,7 +27,7 @@ from operator import attrgetter
 from typing import Optional
 
 from . import __version__
-from .records import LEDGERS, RecordSchemaError, ingest_dump, write_dump
+from .records import LEDGERS, RecordSchemaError, ingest_dump, iso_seconds, write_dump
 
 log = logging.getLogger("ledgergraph")
 
@@ -47,14 +46,17 @@ class _Parser(argparse.ArgumentParser):
 def _parse_when(text: str) -> int:
     """ISO-8601 UTC date or datetime -> unix seconds."""
     try:
-        moment = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
+        return iso_seconds(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an ISO-8601 date (e.g. 2020-09-01)"
         ) from None
-    if moment.tzinfo is None:
-        moment = moment.replace(tzinfo=_dt.timezone.utc)
-    return int(moment.timestamp())
+
+
+def _fail(command: str, message: object, code: int) -> int:
+    """Print `ledgergraph <command>: <message>` to stderr; return `code`."""
+    print(f"ledgergraph {command}: {message}", file=sys.stderr)
+    return code
 
 
 def _json_bytes(payload: dict) -> str:
@@ -165,8 +167,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
                        source=source, workers=args.workers, api_key=api_key)
     except (ValueError, OSError) as exc:
-        print(f"ledgergraph fetch: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("fetch", exc, EXIT_USAGE)
 
     t0 = time.perf_counter()
     try:
@@ -178,20 +179,18 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 _write_dump_sorted(exc.partial.records, args.out)
                 print(f"wrote {len(exc.partial.records)} records fetched before the failure",
                       file=sys.stderr)
-            print(f"ledgergraph fetch: {exc}", file=sys.stderr)
+            code = _fail("fetch", exc, EXIT_FETCH)
             for rng in exc.failed_ranges:
                 print(f"  failed: {rng}", file=sys.stderr)
-            return EXIT_FETCH
+            return code
         _write_dump_sorted(result.records, args.out)
     except RecordSchemaError as exc:  # a local dump that is not in the dump format
-        print(f"ledgergraph fetch: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnicodeDecodeError as exc:  # a local dump, which fetch_transactions opens itself
-        print(f"ledgergraph fetch: {_not_utf8(job.source, exc)}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("fetch", exc, EXIT_DATA)
+    # a local dump that is not UTF-8: fetch_transactions opens it, not `_read`, so name it here
+    except UnicodeDecodeError as exc:
+        return _fail("fetch", _not_utf8(job.source, exc), EXIT_DATA)
     except OSError as exc:
-        print(f"ledgergraph fetch: {exc}", file=sys.stderr)
-        return EXIT_FETCH
+        return _fail("fetch", exc, EXIT_FETCH)
     log.info("fetch phase took %.2fs", time.perf_counter() - t0)
     if result.skipped_payloads:
         log.warning("skipped %d malformed payload(s)", result.skipped_payloads)
@@ -212,8 +211,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         addresses, keys, stats = _read(args.dump, ingest_dump)
     except (RecordSchemaError, _NotUtf8, OSError) as exc:
-        print(f"ledgergraph build: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("build", exc, EXIT_DATA)
     log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,
              stats.skipped_records, stats.unique_arcs, time.perf_counter() - t0)
     t0 = time.perf_counter()
@@ -224,8 +222,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:  # an address Pajek cannot quote, or a failed write
         if os.path.isfile(args.out):
             os.remove(args.out)
-        print(f"ledgergraph build: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("build", exc, EXIT_DATA)
     log.info("Pajek write took %.2fs", time.perf_counter() - t0)
     print(f"{stats.nodes} nodes, {stats.unique_arcs} arcs from {stats.transactions} "
           f"transactions ({stats.skipped_records} skipped lines)")
@@ -267,8 +264,7 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
     try:
         plan = _make_plan(args)
     except ValueError as exc:
-        print(f"ledgergraph {command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(command, exc, EXIT_USAGE)
     try:
         _require_out_dir(args.out)
         edge_reuse = _stats_edge_reuse(args.stats)
@@ -285,8 +281,7 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
         _write_text(base + ".degree_out.txt", histogram_lines(hist.out_degree))
         _write_text(base + ".degree_total.txt", histogram_lines(hist.total_degree))
     except (ValueError, OSError) as exc:  # PajekParseError is a ValueError
-        print(f"ledgergraph {command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(command, exc, EXIT_DATA)
     print(summary)
     return EXIT_OK
 
@@ -355,11 +350,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         text = _format_report(_json_object(args.report, "report"))
     except (OSError, ValueError) as exc:
-        print(f"ledgergraph report: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("report", exc, EXIT_DATA)
     except (KeyError, TypeError, AttributeError) as exc:  # a field missing or of the wrong type
-        print(f"ledgergraph report: malformed report document: {exc!r}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail("report", f"malformed report document: {exc!r}", EXIT_DATA)
     print(text)
     return EXIT_OK
 

@@ -24,11 +24,10 @@ which any fixture or proxy can implement:
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from typing import Optional
 
-from .records import TransactionRecord
+from .records import TransactionRecord, iso_seconds
 
 EXPLORER_DEFAULTS = {
     "bitcoin": "https://blockchain.info",
@@ -55,12 +54,9 @@ def _as_timestamp(value: object, what: str) -> int:
         except ValueError:
             pass
         try:
-            parsed = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
+            return iso_seconds(text)
         except ValueError:
             raise PayloadError(f"{what} is neither unix seconds nor ISO-8601: {value!r}") from None
-        if parsed.tzinfo is None:
-            parsed = parsed.replace(tzinfo=_dt.timezone.utc)
-        return int(parsed.timestamp())
     raise PayloadError(f"{what} must be a timestamp, got {type(value).__name__}")
 
 

@@ -40,6 +40,7 @@ _BLOCKS_PER_TASK = 8
 # early stamp within about 2 h at 10-min spacing
 _BLOCK_TIME_SKEW = 7_200
 _HEADERS = {"Accept": "application/json", "User-Agent": "ledgergraph"}
+_TIMEOUT = 30.0  # seconds a connection waits on the socket
 
 
 class FetchError(Exception):
@@ -121,12 +122,10 @@ class RetryingClient:
         policy: BackoffPolicy,
         sleep: Callable[[float], None] = time.sleep,
         api_key: Optional[str] = None,
-        timeout: float = 30.0,
     ):
         self.policy = policy
         self.sleep = sleep
         self.api_key = api_key
-        self.timeout = timeout
         self.pauses: list[float] = []
         self._conns: dict[tuple[str, str], object] = {}
 
@@ -145,7 +144,7 @@ class RetryingClient:
         if conn is None:
             kind = http.client.HTTPSConnection if parts.scheme == "https" \
                 else http.client.HTTPConnection
-            conn = self._conns[key] = kind(parts.netloc, timeout=self.timeout)
+            conn = self._conns[key] = kind(parts.netloc, timeout=_TIMEOUT)
         reused = conn.sock is not None
         try:
             try:

@@ -5,8 +5,9 @@ metrics `build_metrics_report` runs on one graph share the component
 labels and the main component's subgraph, which the graph computes once
 and keeps.
 
-- Degrees come from the row pointers, mutual pairs from a binary search
-  over the sorted arc keys.
+- In- and out-degrees come from the row pointers; total degrees, and
+  clustering, from one list of the undirected projection's distinct
+  edges, so a mutual pair counts once.
 - Clustering lists every triangle once on the undirected projection,
   each edge oriented by degree (Latapy 2008), and averages the per-node
   values left to right, as a per-node loop adds them.
@@ -99,13 +100,7 @@ def degree_distribution(graph: DirectedGraph, hub_count: int = 10) -> DegreeHist
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
-    # mutual pairs: in-arcs (t, v) whose reverse (v, t) is among the sorted
-    # (tail, head) keys; the reverse CSR lists the queries v*n + t ascending
-    keys = graph.tails * graph.n + graph.fwd_indices
-    rev_heads = np.repeat(np.arange(graph.n), in_deg)
-    back = rev_heads * graph.n + graph.rev_indices
-    mutual = keys[np.minimum(np.searchsorted(keys, back), graph.m - 1)] == back
-    total_deg = in_deg + out_deg - np.bincount(rev_heads[mutual], minlength=graph.n)
+    total_deg = _distinct_edges(graph)[2]
 
     def table(deg: np.ndarray) -> dict[int, int]:
         return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}
@@ -124,6 +119,18 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
+def _distinct_edges(csr: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The undirected projection's distinct edges as sorted keys a*n + b
+    (a < b), the arcs behind each (1 or 2), and each node's degree there:
+    its distinct in- and out-neighbours."""
+    n = csr.n
+    heads = csr.fwd_indices.astype(np.int64)
+    edges, arcs = np.unique(
+        np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads), return_counts=True
+    )
+    return edges, arcs, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
+
+
 def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
     """Clustering coefficient of every node, by degree-ordered triangle
     listing (Latapy 2008) on the undirected simple projection: each edge
@@ -134,13 +141,9 @@ def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
     its arcs (1 or 2). Wedges are checked _WEDGE_CHUNK at a time.
     """
     n = csr.n
-    heads = csr.fwd_indices.astype(np.int64)
-    edges, arcs = np.unique(
-        np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads), return_counts=True
-    )
+    edges, arcs, deg = _distinct_edges(csr)
     weight = arcs if directed else np.full(len(edges), 2)
     a, b = edges // n, edges % n  # a < b
-    deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     flip = deg[a] > deg[b]
     low, high = np.where(flip, b, a), np.where(flip, a, b)
     eid = np.argsort(low, kind="stable")  # edge at each out-list slot
@@ -509,7 +512,11 @@ def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1
     node is measured inside its own weakly connected component and
     normalized by (n-1)(n-2) with n the component size, which puts the hub
     of a star at exactly 1. Nodes in components smaller than 3 score 0.
+    An id outside [0, n) raises ValueError.
     """
+    for v in nodes:
+        if not 0 <= v < graph.n:
+            raise ValueError(f"node id {v} is outside [0, {graph.n})")
     labels = graph.labels("weak")
     out: dict[int, float] = {}
     for label in set(labels[list(nodes)].tolist()):

@@ -199,25 +199,21 @@ def small_world_compare(
         node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed))
     log.info("random_generation_s: %.2fs", time.perf_counter() - t0)
 
-    undefined: dict[str, str] = {}
-    random_metrics: Optional[MetricsReport] = None
     t0 = time.perf_counter()
     try:
         random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
     except ValueError as exc:
-        undefined["aspl_ratio"] = f"random graph is degenerate: {exc}"
-        undefined["acc_ratio"] = f"random graph is degenerate: {exc}"
-        undefined["sigma"] = "needs both ratios"
-    log.info("random_metrics_s: %.2fs", time.perf_counter() - t0)
-
-    acc_ratio = aspl_ratio = sigma = None
-    if random_metrics is not None:
+        random_metrics = acc_ratio = aspl_ratio = sigma = None
+        reason = f"random graph is degenerate: {exc}"
+        undefined = {"aspl_ratio": reason, "acc_ratio": reason, "sigma": "needs both ratios"}
+    else:
         acc_ratio, aspl_ratio, sigma, undefined = ratios_and_sigma(
             real_metrics.graph_acc,
             random_metrics.graph_acc,
             real_metrics.main_component_aspl,
             random_metrics.main_component_aspl,
         )
+    log.info("random_metrics_s: %.2fs", time.perf_counter() - t0)
 
     return SmallWorldReport(
         real_metrics=real_metrics,

@@ -15,13 +15,15 @@ of two 40-character hex strings. Only the subset we emit is supported:
 Files are UTF-8 with LF line endings. Arc lines are written sorted by (tail,
 head), so output is byte-stable for a given graph; `write_arc_keys` needs
 only the standard library. The reader parses an arc block laid out that way
-with numpy; the lines before it, and any other document, go through a line
+with numpy, once one regular expression has found no line out of that
+layout; the lines before it, and any other document, go through a line
 parser, which also names the first bad line of a malformed document.
 """
 
 from __future__ import annotations
 
 import io
+import re
 from array import array
 from itertools import repeat
 from operator import and_, rshift
@@ -115,22 +117,25 @@ def read_pajek(stream: IO[str]) -> DirectedGraph:
         if ends is None:  # arcs before the block, or a block numpy cannot take
             n, ends, labels = _read_lines(io.StringIO(text))
     del text, block  # the document is not needed while the graph is built
-    return DirectedGraph(n, ends[0::2] - 1, ends[1::2] - 1, labels)
+    ends -= 1  # 0-based, in place
+    return DirectedGraph(n, ends[0::2], ends[1::2], labels)
 
 
 def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
     """The 1-based endpoints of an arc block laid out exactly as
     `write_pajek` lays one out, all in 1..n; None for any other block."""
     import numpy as np
-    if block.encode().translate(None, b"0123456789 \n"):
-        return None  # np.fromstring would stop at the first other character
+    if block and (block[-1] != "\n" or _NOT_ARC_LINE.search(block, 0, len(block) - 1)):
+        return None  # np.fromstring would misread another layout, or stop short
     ends = np.fromstring(block, dtype=np.int64, sep=" ")
-    if len(ends) % 2 or "".join(_arc_lines(ends)) != block:
-        return None
-    return ends if not len(ends) or 1 <= ends.min() <= ends.max() <= n else None
+    return ends if ends.max(initial=0) <= n else None  # a huge endpoint saturates
 
 
-def _arc_lines(ends: np.ndarray | array) -> Iterator[str]:
+# the start of any line that is not `<src> <dst>` in `_arc_lines`' layout
+_NOT_ARC_LINE = re.compile(r"^(?![1-9][0-9]* [1-9][0-9]*$)", re.MULTILINE)
+
+
+def _arc_lines(ends: array) -> Iterator[str]:
     """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2], a
     bounded number at a time, so few endpoints are Python ints at once."""
     for start in range(0, len(ends), _LINE_CHUNK):
@@ -165,7 +170,7 @@ def _read_lines(stream: IO[str]) -> tuple[int, np.ndarray, Optional[list[str]]]:
     def apply_labels() -> Optional[list[str]]:
         if not labels:
             return None
-        if len(labels) != n or set(labels) != set(range(1, n + 1)):
+        if len(labels) != n:  # each index is in 1..n and labeled once, so all are
             raise PajekParseError(
                 f"labels must cover vertices 1..{n} exactly once, got {len(labels)} labels",
                 lineno,

@@ -20,6 +20,7 @@ which are such tuples; it imports the graph module when called).
 
 from __future__ import annotations
 
+import datetime as _dt
 import json
 import math
 from collections import defaultdict, namedtuple
@@ -114,6 +115,15 @@ def _checked(obj: object) -> tuple:
 
 def record_from_json_dict(obj: object) -> TransactionRecord:
     return TransactionRecord._make(_checked(obj))
+
+
+def iso_seconds(text: str) -> int:
+    """Unix seconds of an ISO-8601 date or datetime. A trailing Z and a time
+    with no zone both mean UTC; any other text raises ValueError."""
+    moment = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if moment.tzinfo is None:
+        moment = moment.replace(tzinfo=_dt.timezone.utc)
+    return int(moment.timestamp())
 
 
 def write_dump(records: Iterable[TransactionRecord], stream: IO[str]) -> int:

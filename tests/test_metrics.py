@@ -391,6 +391,14 @@ class TestLoadCentrality:
         loads = load_centrality(three_cycle(), [0, 1, 2])
         assert loads == [0.5, 0.5, 0.5]
 
+    @pytest.mark.parametrize("node", [-2, 5])
+    def test_id_outside_the_graph_is_rejected(self, node):
+        # -2 must not wrap around to node 3, whose load is 0.25
+        path = graph_from([(0, 1), (1, 2), (2, 3), (3, 4)])
+        assert load_centrality(path, [3]) == [0.25]
+        with pytest.raises(ValueError, match=rf"^node id {node} is outside \[0, 5\)$"):
+            load_centrality(path, [3, node])
+
     def test_equal_split_on_diamond(self):
         # two shortest 0->3 paths; each interior node carries half
         g = graph_from([(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -1,8 +1,11 @@
 import io
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from ledgergraph import pajek
 from ledgergraph.graph import DirectedGraph
 from ledgergraph.pajek import PajekParseError, dumps, loads, read_pajek, write_pajek
 
@@ -172,3 +175,77 @@ def test_malformed_document_error_parity(text, message, line):
 ])
 def test_tokens_int_accepts_still_parse(text, arcs):
     assert sorted(loads(text).arcs()) == arcs
+
+
+# valid arc blocks one edit away from `write_pajek`'s layout
+NEAR_CANONICAL = [
+    "1 2\n01 3\n",  # a leading zero
+    "1  2\n2 3\n",  # two spaces
+    " 1 2\n2 3\n",  # a leading space
+    "1 2 \n2 3\n",  # a trailing space
+    "1\t2\n2 3\n",  # a tab
+    "1 2\r\n2 3\r\n",  # CRLF
+    "1 2\n\n2 3\n",  # a blank line
+    "1 2\n+1 3\n",  # a sign
+    "1 2\n2 3",  # no final newline
+    "1 2\n*Arcs\n2 3\n",  # a second *Arcs section
+    "1 2\n*Edges\n2 3\n",  # an *Edges section after the arcs
+]
+
+
+def _line_parsed_arcs(text):
+    n, ends, _ = pajek._read_lines(io.StringIO(text))
+    return sorted(DirectedGraph(n, ends[0::2] - 1, ends[1::2] - 1).arcs())
+
+
+@pytest.mark.parametrize("block", NEAR_CANONICAL)
+def test_near_canonical_block_reads_as_the_line_parser_reads_it(block):
+    text = "*Vertices 3\n*Arcs\n" + block
+    assert pajek._arc_ends(block, 3) is None  # not the numpy path
+    assert sorted(loads(text).arcs()) == _line_parsed_arcs(text)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_written_arc_blocks_skip_the_line_parser(seed, monkeypatch):
+    rng = random.Random(seed)
+    n = rng.randrange(0, 40)
+    labeled = rng.random() < 0.5
+    g = random_digraph(n, rng.randrange(0, n * (n - 1) + 1) if n > 1 else 0, seed, labels=labeled)
+    text = dumps(g, include_labels=labeled)
+    parsed = []
+    line_parser = pajek._read_lines
+
+    def recording(stream):
+        parsed.append(stream.getvalue())
+        return line_parser(stream)
+
+    monkeypatch.setattr(pajek, "_read_lines", recording)
+    back = loads(text)
+    assert parsed == [text.partition("\n*Arcs\n")[0] + "\n*Arcs\n"]  # the lines before the arcs
+    assert sorted(back.arcs()) == sorted(g.arcs())
+
+
+class TestReadPeak:
+    """Reading a canonical file holds one arc-length endpoint array beside
+    the document: a pattern check rather than a rendering of the block, and
+    0-based endpoints made in place. The bound sits just above the 2.13 that
+    measured; rendering and comparing the block peaked at 3.16."""
+
+    N, M = 100_000, 300_000
+
+    def test_read_peak(self, tmp_path):
+        rng = np.random.default_rng(1)
+        path = tmp_path / "graph.net"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write_pajek(DirectedGraph(self.N, rng.integers(0, self.N, self.M),
+                                      rng.integers(0, self.N, self.M)), fh)
+        tracemalloc.start()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                g = read_pajek(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (g.tails, g.fwd_indptr, g.fwd_indices,
+                                      g.rev_indptr, g.rev_indices))
+        assert peak / held < 2.20
