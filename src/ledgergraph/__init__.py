@@ -5,7 +5,10 @@ process that only fetches never imports numpy.
 """
 
 import importlib
-from typing import Callable, Sequence
+import logging
+import time
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 __version__ = "0.1.0"
 
@@ -49,3 +52,12 @@ def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> list:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, t) for t in tasks]
         return [f.result() for f in futures]
+
+
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Time the block: log `<name> took <s>s` on the `ledgergraph` logger
+    when it completes. A block that raises logs nothing."""
+    t0 = time.perf_counter()
+    yield
+    logging.getLogger(__name__).info("%s took %.2fs", name, time.perf_counter() - t0)

@@ -4,10 +4,11 @@ Each stage reads and writes plain files (NDJSON dump, Pajek graph, JSON
 reports), so a long pipeline can resume at any stage. `compare` writes
 what `analyze` writes (the real graph's report, as its `real` section,
 and the degree tables) plus the random twin and sigma, so a window is
-measured by one `compare`; `analyze` is the same command without the
-twin. Reports are deterministic for fixed inputs and seeds regardless of
---workers; wall clock per phase goes to stderr, never into the report
-files.
+measured by one `compare`; `analyze` is the same command, and the same
+body (`_measure`), without the twin. Reports are deterministic for fixed
+inputs and seeds regardless of --workers; wall clock per phase goes to
+stderr as one `<phase> took <s>s` line from `ledgergraph._stage`, never
+into the report files.
 
 Exit codes: 0 success, 1 usage error, 2 fetch failure, 3 data/parse error.
 
@@ -22,11 +23,10 @@ import json
 import logging
 import os
 import sys
-import time
 from operator import attrgetter
 from typing import Optional
 
-from . import __version__
+from . import __version__, _stage
 from .records import LEDGERS, RecordSchemaError, ingest_dump, iso_seconds, write_dump
 
 log = logging.getLogger("ledgergraph")
@@ -117,9 +117,10 @@ def build_arg_parser() -> _Parser:
                    metavar="DATE", help="interval end (exclusive), ISO-8601 UTC")
     p.add_argument("--workers", type=int, default=1, help="concurrent fetchers (default 1)")
     p.add_argument("--out", required=True, help="dump file to write (NDJSON)")
-    p.add_argument("--source", help="explorer base URL or local dump file")
-    p.add_argument("--in", dest="source_file", metavar="FILE",
-                   help="local dump file to re-window (same as --source with a path)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--source", help="explorer base URL or local dump file")
+    source.add_argument("--in", dest="source_file", metavar="FILE",
+                        help="local dump file to re-window (same as --source with a path)")
     p.add_argument("--config", help="JSON config file with per-ledger url/key entries")
 
     p = sub.add_parser("build", help="build a Pajek graph from a dump")
@@ -169,11 +170,12 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         return _fail("fetch", exc, EXIT_USAGE)
 
-    t0 = time.perf_counter()
     try:
         _require_out_dir(args.out)
         try:
-            result = fetch_transactions(job)
+            with _stage("fetch phase"):
+                result = fetch_transactions(job)
+                _write_dump_sorted(result.records, args.out)
         except FetchError as exc:
             if exc.partial is not None and exc.partial.records:
                 _write_dump_sorted(exc.partial.records, args.out)
@@ -183,7 +185,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             for rng in exc.failed_ranges:
                 print(f"  failed: {rng}", file=sys.stderr)
             return code
-        _write_dump_sorted(result.records, args.out)
     except RecordSchemaError as exc:  # a local dump that is not in the dump format
         return _fail("fetch", exc, EXIT_DATA)
     # a local dump that is not UTF-8: fetch_transactions opens it, not `_read`, so name it here
@@ -191,7 +192,6 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         return _fail("fetch", _not_utf8(job.source, exc), EXIT_DATA)
     except OSError as exc:
         return _fail("fetch", exc, EXIT_FETCH)
-    log.info("fetch phase took %.2fs", time.perf_counter() - t0)
     if result.skipped_payloads:
         log.warning("skipped %d malformed payload(s)", result.skipped_payloads)
     print(len(result.records))
@@ -208,22 +208,21 @@ def cmd_build(args: argparse.Namespace) -> int:
     from . import pajek
     try:
         _require_out_dir(args.out)
-        t0 = time.perf_counter()
-        addresses, keys, stats = _read(args.dump, ingest_dump)
+        with _stage("dump read"):
+            addresses, keys, stats = _read(args.dump, ingest_dump)
     except (RecordSchemaError, _NotUtf8, OSError) as exc:
         return _fail("build", exc, EXIT_DATA)
-    log.info("read %d records (%d skipped) into %d arcs in %.2fs", stats.transactions,
-             stats.skipped_records, stats.unique_arcs, time.perf_counter() - t0)
-    t0 = time.perf_counter()
+    log.info("read %d records (%d skipped) into %d arcs", stats.transactions,
+             stats.skipped_records, stats.unique_arcs)
     try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            pajek.write_arc_keys(fh, stats.nodes, keys, addresses if args.labels else None)
-        _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
+        with _stage("Pajek write"):
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                pajek.write_arc_keys(fh, stats.nodes, keys, addresses if args.labels else None)
+            _write_text(args.out + ".stats.json", _json_bytes(stats.to_json_dict()))
     except (ValueError, OSError) as exc:  # an address Pajek cannot quote, or a failed write
         if os.path.isfile(args.out):
             os.remove(args.out)
         return _fail("build", exc, EXIT_DATA)
-    log.info("Pajek write took %.2fs", time.perf_counter() - t0)
     print(f"{stats.nodes} nodes, {stats.unique_arcs} arcs from {stats.transactions} "
           f"transactions ({stats.skipped_records} skipped lines)")
     return EXIT_OK
@@ -241,7 +240,7 @@ def _make_plan(args: argparse.Namespace):
     return SamplePlan(
         fraction=args.sample,
         seed=args.seed,
-        component="weak_main" if args.component == "weak" else "strong_main",
+        component=f"{args.component}_main",
         treat_as_undirected=args.undirected,
     )
 
@@ -255,12 +254,12 @@ def _stats_edge_reuse(path: Optional[str]) -> Optional[float]:
     return float(value)
 
 
-def _measure(command: str, args: argparse.Namespace, compute) -> int:
-    """The body of `analyze` and `compare`. `compute(graph, plan, edge_reuse)`
-    returns the report, the real graph's MetricsReport in it, and the
-    summary line for stdout; the degree tables come from that MetricsReport."""
+def _measure(command: str, args: argparse.Namespace) -> int:
+    """The body of `analyze` and `compare`: the report, the real graph's
+    degree tables beside it and a summary line on stdout. Only `compare`
+    imports `nullmodel`, for the random twin and sigma."""
     from . import pajek
-    from .metrics import histogram_lines
+    from .metrics import build_metrics_report, histogram_lines
     try:
         plan = _make_plan(args)
     except ValueError as exc:
@@ -268,12 +267,22 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
     try:
         _require_out_dir(args.out)
         edge_reuse = _stats_edge_reuse(args.stats)
-        t0 = time.perf_counter()
-        graph = _read(args.graph, pajek.read_pajek)
-        log.info("graph load took %.2fs", time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        report, real, summary = compute(graph, plan, edge_reuse)
-        log.info("metrics took %.2fs", time.perf_counter() - t0)
+        with _stage("graph load"):
+            graph = _read(args.graph, pajek.read_pajek)
+        with _stage("metrics"):
+            if command == "compare":
+                from .nullmodel import small_world_compare
+                report = small_world_compare(graph, plan, seed=args.seed, hub_count=args.hubs,
+                                             workers=args.workers, edge_reuse_ratio=edge_reuse)
+                real = report.real_metrics
+                sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"
+                summary = f"sigma {sigma}"
+            else:
+                report = real = build_metrics_report(graph, plan, hub_count=args.hubs,
+                                                     workers=args.workers,
+                                                     edge_reuse_ratio=edge_reuse)
+                summary = (f"ACC {real.graph_acc:.6g}, "
+                           f"main component ASPL {real.main_component_aspl:.6g}")
         _write_text(args.out, _json_bytes(report.to_json_dict()))
         base = args.out[:-5] if args.out.endswith(".json") else args.out
         hist = real.degree_histogram
@@ -287,25 +296,11 @@ def _measure(command: str, args: argparse.Namespace, compute) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .metrics import build_metrics_report
-
-    def compute(graph, plan, edge_reuse):
-        report = build_metrics_report(graph, plan, hub_count=args.hubs, workers=args.workers,
-                                      edge_reuse_ratio=edge_reuse)
-        return report, report, (f"ACC {report.graph_acc:.6g}, "
-                                f"main component ASPL {report.main_component_aspl:.6g}")
-    return _measure("analyze", args, compute)
+    return _measure("analyze", args)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .nullmodel import small_world_compare
-
-    def compute(graph, plan, edge_reuse):
-        report = small_world_compare(graph, plan, seed=args.seed, hub_count=args.hubs,
-                                     workers=args.workers, edge_reuse_ratio=edge_reuse)
-        sigma = f"{report.sigma:.6g}" if report.sigma is not None else "undefined"
-        return report, report.real_metrics, f"sigma {sigma}"
-    return _measure("compare", args, compute)
+    return _measure("compare", args)
 
 
 def _format_metrics(doc: dict, indent: str = "") -> str:

@@ -231,6 +231,11 @@ class SamplePlan:
                 f"component must be 'weak_main' or 'strong_main', got {self.component!r}"
             )
 
+    @property
+    def kind(self) -> str:
+        """The `DirectedGraph.component` kind of `component`: weak or strong."""
+        return "weak" if self.component == "weak_main" else "strong"
+
 
 def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
     size = math.ceil(fraction * n)
@@ -332,13 +337,12 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     BFS distance over ordered pairs (s, t) within the sample, skipping
     unreachable pairs. Returns (aspl, ordered pairs averaged).
     """
-    kind = "weak" if plan.component == "weak_main" else "strong"
-    sub, _ = graph.component(kind)
+    sub, _ = graph.component(plan.kind)
     if plan.treat_as_undirected:
         sub = sub.symmetric()
     n = sub.n
     if n < 2:
-        raise ValueError(f"main component has {n} node(s); ASPL needs at least 2")
+        raise ValueError(f"{plan.component} has {n} node(s); nothing to average paths over")
     sample = _sample_nodes(n, plan.fraction, plan.seed)
     if len(sample) < 2:
         raise ValueError(
@@ -593,16 +597,11 @@ def build_metrics_report(
         "strong_main": {"size": main_size["strong"], "fraction": main_size["strong"] / n},
     }
 
-    kind = "weak" if plan.component == "weak_main" else "strong"
-    if main_size[kind] < 2:
-        raise ValueError(
-            f"{plan.component} has {main_size[kind]} node(s); nothing to average paths over"
-        )
-    sub, original = graph.component(kind)
+    sub, original = graph.component(plan.kind)
     # a weak component keeps every neighbor of its nodes, a strong one may not
-    main_acc = _ordered_mean(local[original] if kind == "weak" else _local_clustering(sub))
+    main_acc = _ordered_mean(local[original] if plan.kind == "weak" else _local_clustering(sub))
     aspl_value, pairs = aspl(graph, plan, workers=workers)
-    sample_size = math.ceil(plan.fraction * main_size[kind])
+    sample_size = math.ceil(plan.fraction * sub.n)
 
     hub_ids = [v for v, _ in hist.max_hubs]
     loads = load_centrality(graph, hub_ids, workers=workers)

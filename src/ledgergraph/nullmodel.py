@@ -9,17 +9,14 @@ well above 1 means small-world structure.
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import _stage
 from .graph import DirectedGraph
 from .metrics import MetricsReport, SamplePlan, build_metrics_report
-
-log = logging.getLogger("ledgergraph")
 
 
 @dataclass(frozen=True)
@@ -183,37 +180,33 @@ def small_world_compare(
     the same sampling plan, and combine the ratios into sigma.
 
     Sigma reads only the twin's clustering and ASPL, so the twin gets no
-    hub load: its report's `hub_load` is empty. The time of each phase
-    goes to the `ledgergraph` logger."""
+    hub load: its report's `hub_load` is empty. Each phase (real metrics,
+    random generation, random metrics) logs its time through
+    `ledgergraph._stage`."""
     if real.node_count == 0:
         raise ValueError("cannot compare an empty graph")
 
-    t0 = time.perf_counter()
-    real_metrics = build_metrics_report(
-        real, plan, hub_count=hub_count, workers=workers, edge_reuse_ratio=edge_reuse_ratio
-    )
-    log.info("real_metrics_s: %.2fs", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    random_graph = erdos_renyi(RandomGraphSpec(
-        node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed))
-    log.info("random_generation_s: %.2fs", time.perf_counter() - t0)
-
-    t0 = time.perf_counter()
-    try:
-        random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
-    except ValueError as exc:
-        random_metrics = acc_ratio = aspl_ratio = sigma = None
-        reason = f"random graph is degenerate: {exc}"
-        undefined = {"aspl_ratio": reason, "acc_ratio": reason, "sigma": "needs both ratios"}
-    else:
-        acc_ratio, aspl_ratio, sigma, undefined = ratios_and_sigma(
-            real_metrics.graph_acc,
-            random_metrics.graph_acc,
-            real_metrics.main_component_aspl,
-            random_metrics.main_component_aspl,
+    with _stage("real metrics"):
+        real_metrics = build_metrics_report(
+            real, plan, hub_count=hub_count, workers=workers, edge_reuse_ratio=edge_reuse_ratio
         )
-    log.info("random_metrics_s: %.2fs", time.perf_counter() - t0)
+    with _stage("random generation"):
+        random_graph = erdos_renyi(RandomGraphSpec(
+            node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed))
+    with _stage("random metrics"):
+        try:
+            random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)
+        except ValueError as exc:
+            random_metrics = acc_ratio = aspl_ratio = sigma = None
+            reason = f"random graph is degenerate: {exc}"
+            undefined = {"aspl_ratio": reason, "acc_ratio": reason, "sigma": "needs both ratios"}
+        else:
+            acc_ratio, aspl_ratio, sigma, undefined = ratios_and_sigma(
+                real_metrics.graph_acc,
+                random_metrics.graph_acc,
+                real_metrics.main_component_aspl,
+                random_metrics.main_component_aspl,
+            )
 
     return SmallWorldReport(
         real_metrics=real_metrics,

@@ -105,10 +105,7 @@ def _checked(obj: object) -> tuple:
     if isinstance(timestamp, bool) or not isinstance(timestamp, (int, float)) \
             or isinstance(timestamp, float) and not math.isfinite(timestamp):  # NaN, Infinity
         raise RecordSchemaError("timestamp must be a number (unix seconds)")
-    tx_kind = obj.get("tx_kind", "")
-    if not isinstance(tx_kind, str):
-        raise RecordSchemaError("tx_kind must be a string")
-    row = (ledger, tuple(senders), tuple(recipients), int(timestamp), tx_kind)
+    row = (ledger, tuple(senders), tuple(recipients), int(timestamp), obj.get("tx_kind", ""))
     _check(*row)
     return row
 

@@ -60,6 +60,45 @@ def test_unknown_command_exits_one():
     assert exc.value.code == 1
 
 
+def test_stage_logs_one_line_per_completed_block(caplog):
+    with caplog.at_level("INFO", logger="ledgergraph"):
+        with ledgergraph._stage("first"):
+            pass
+        with pytest.raises(KeyError):
+            with ledgergraph._stage("failed"):
+                raise KeyError("x")
+        with ledgergraph._stage("second"):
+            pass
+    lines = [r.getMessage() for r in caplog.records if r.name == "ledgergraph"]
+    assert [line.split(" took ")[0] for line in lines] == ["first", "second"]
+    assert all(re.fullmatch(r"\w+ took \d+\.\d\ds", line) for line in lines)
+
+
+def test_compare_logs_each_stage_once(tmp_path, caplog):
+    net, out = tmp_path / "g.net", tmp_path / "r.json"
+    net.write_text(pajek_dumps(random_digraph(60, 200, 4)))
+    with caplog.at_level("INFO", logger="ledgergraph"):
+        assert main(["compare", "--in", str(net), "--out", str(out), "--hubs", "0"]) == 0
+    stages = [r.getMessage().split(" took ")[0] for r in caplog.records
+              if " took " in r.getMessage()]
+    assert stages == ["graph load", "real metrics", "random generation", "random metrics",
+                      "metrics"]
+
+
+def test_analyze_does_not_load_nullmodel(tmp_path):
+    # `analyze` and `compare` share one body; only `compare` needs the twin
+    net = tmp_path / "g.net"
+    net.write_text(pajek_dumps(random_digraph(60, 200, 4)))
+    code = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
+            "assert 'ledgergraph.nullmodel' not in sys.modules, 'nullmodel imported'; "
+            "sys.exit(code)")
+    src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code, "analyze", "--in", str(net),
+                    "--out", str(tmp_path / "r.json")], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
 def test_build_analyze_compare_report(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     write_fixture_dump(dump)
@@ -402,6 +441,18 @@ def test_fetch_local_file_rewindow(tmp_path, capsys):
                  "--out", str(out), "--in", str(dump)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+def test_fetch_source_and_in_together_is_usage_error(tmp_path, capsys):
+    dump = tmp_path / "all.ndjson"
+    write_fixture_dump(dump, count=5)
+    out = tmp_path / "window.ndjson"
+    with pytest.raises(SystemExit) as exc:
+        main(["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+              "--out", str(out), "--source", str(dump), "--in", str(dump)])
+    assert exc.value.code == 1
+    assert "argument --in: not allowed with argument --source" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fetch_local_dump_schema_error_exits_three(tmp_path, capsys):

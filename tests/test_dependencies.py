@@ -56,3 +56,33 @@ def test_no_blas_call():
                 found += [f"{path.name}:{node.lineno}: import {alias.name}"
                           for alias in node.names if alias.name in _BLAS_NAMES]
     assert found == []
+
+
+def _component_literal(node: ast.AST) -> bool:
+    """A `"..._main"` string, or a tuple, list or set holding one."""
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value.endswith("_main")
+    return isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(
+        _component_literal(elt) for elt in node.elts)
+
+
+def test_one_stage_timer_and_one_component_mapping():
+    # phase times come from `ledgergraph._stage` alone, and only `SamplePlan`
+    # reads its `component` name against the "weak_main"/"strong_main" spelling
+    found = []
+    for path in sorted((ROOT / "src" / "ledgergraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = {"__init__.py": "_stage", "metrics.py": "SamplePlan"}.get(path.name)
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "perf_counter" \
+                    or isinstance(node, ast.Name) and node.id == "perf_counter" \
+                    or isinstance(node, ast.alias) and node.name == "perf_counter":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: perf_counter")
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(isinstance(side, ast.Attribute) and side.attr == "component"
+                       for side in sides) and any(map(_component_literal, sides)):
+                    found.append(f"{path.name}:{node.lineno}: .component against a _main name")
+    assert found == []
