@@ -43,15 +43,18 @@ def __getattr__(name: str):
     return value
 
 
-def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> list:
-    """Run fn over tasks; results always come back in task order. `fetch`
-    and `metrics` share it; one worker or task loads no thread pool."""
+def _run_ordered(tasks: Sequence, fn: Callable, workers: int) -> Iterator:
+    """Yield fn(t) for each task in task order, each as soon as it and the
+    tasks before it are done, so a caller can fold the results as they
+    come. `fetch` and `metrics` share it. One worker or task runs each
+    task when its result is asked for, and loads no thread pool; more run
+    all tasks at once on a pool that `Executor.map` keeps in order."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, t) for t in tasks]
-        return [f.result() for f in futures]
+        yield from pool.map(fn, tasks)
 
 
 @contextmanager

@@ -18,12 +18,14 @@ blocks in order. This module loads no numpy, and no `http.client` or
 Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
 doubles its pause up to a cap, and retries the same request; the pause
 resets after a success. A `Retry-After` in seconds lengthens a pause, up
-to the cap. Each worker keeps its own backoff state.
+to the cap. Each worker keeps its own backoff state. The fetch logs the
+retries and pause seconds of all its workers on one line.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,6 +43,8 @@ _BLOCKS_PER_TASK = 8
 _BLOCK_TIME_SKEW = 7_200
 _HEADERS = {"Accept": "application/json", "User-Agent": "ledgergraph"}
 _TIMEOUT = 30.0  # seconds a connection waits on the socket
+
+log = logging.getLogger("ledgergraph")
 
 
 class FetchError(Exception):
@@ -386,7 +390,7 @@ def _fetch_blocks(job: FetchJob, clients: list[RetryingClient]) -> FetchResult:
     def fetch_share(slot: int) -> list:  # chunks slot, slot + workers, ... in order
         return [fetch_chunk(clients[slot], c) for c in chunks[slot::job.workers]]
 
-    shares = _run_ordered(range(min(job.workers, len(chunks))), fetch_share, job.workers)
+    shares = list(_run_ordered(range(min(job.workers, len(chunks))), fetch_share, job.workers))
     outcomes = [shares[i % job.workers][i // job.workers] for i in range(len(chunks))]
     names = [f"{job.ledger} blocks [{c.start}, {c.stop})" for c in chunks]
     return _merge(list(zip(names, outcomes)), "block range(s)")
@@ -406,7 +410,8 @@ def fetch_transactions(
     counted). HTTP sources are paged or block-walked with `job.workers`
     concurrent fetchers; the result is the same multiset of records for
     any worker count. Raises FetchError (with the failed sub-ranges and
-    any partial result) when a range cannot be retrieved.
+    any partial result) when a range cannot be retrieved. An HTTP fetch,
+    failed or not, logs its retries and the seconds its fetchers paused.
     """
     if job.is_local():
         with open(job.source, encoding="utf-8") as fh:
@@ -422,3 +427,5 @@ def fetch_transactions(
     finally:
         for client in clients:
             client.close()
+        pauses = [pause for client in clients for pause in client.pauses]
+        log.info("fetch retries: %d (%.1fs paused)", len(pauses), sum(pauses))

@@ -49,8 +49,9 @@ and keeps.
   levels, batch widths and skipped sources.
 
 Worker pools only change which thread runs which fixed chunk of sources;
-chunk boundaries and the reduction order never depend on the worker count,
-so results are bit-identical for any `workers` value.
+chunk boundaries and the reduction order never depend on the worker count
+(each chunk's results are added in chunk order as they arrive), so results
+are bit-identical for any `workers` value.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import DirectedGraph, _arc_slots, _reach
+from .graph import DirectedGraph, _arc_slots, _distinct, _reach
 
 log = logging.getLogger("ledgergraph")
 
@@ -100,7 +101,7 @@ def degree_distribution(graph: DirectedGraph, hub_count: int = 10) -> DegreeHist
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
-    total_deg = _distinct_edges(graph)[2]
+    total_deg = _distinct_edges(graph)[1]
 
     def table(deg: np.ndarray) -> dict[int, int]:
         return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}
@@ -119,30 +120,27 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
-def _distinct_edges(csr: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_edges(csr: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     """The undirected projection's distinct edges as sorted keys a*n + b
-    (a < b), the arcs behind each (1 or 2), and each node's degree there:
-    its distinct in- and out-neighbours."""
+    (a < b), and each node's degree there: its distinct in- and
+    out-neighbours."""
     n = csr.n
     heads = csr.fwd_indices.astype(np.int64)
-    edges, arcs = np.unique(
-        np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads), return_counts=True
-    )
-    return edges, arcs, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
+    edges = _distinct(np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads))
+    return edges, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
 
 
-def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
+def _local_clustering(csr: DirectedGraph) -> np.ndarray:
     """Clustering coefficient of every node, by degree-ordered triangle
     listing (Latapy 2008) on the undirected simple projection: each edge
     points from its lower (degree, id) end to the higher one, so a triangle
     is listed once, from two out-edges of its lowest corner, and no node has
-    over sqrt(2m) out-edges. A triangle credits each corner with the weight
-    of the opposite edge: 2 (a link counted from both ends) or, `directed`,
-    its arcs (1 or 2). Wedges are checked _WEDGE_CHUNK at a time.
+    over sqrt(2m) out-edges. Each node's triangles are counted, and twice
+    that count is divided once by k(k-1). Wedges are checked _WEDGE_CHUNK
+    at a time.
     """
     n = csr.n
-    edges, arcs, deg = _distinct_edges(csr)
-    weight = arcs if directed else np.full(len(edges), 2)
+    edges, deg = _distinct_edges(csr)
     a, b = edges // n, edges % n  # a < b
     flip = deg[a] > deg[b]
     low, high = np.where(flip, b, a), np.where(flip, a, b)
@@ -150,7 +148,7 @@ def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
     low, high = low[eid], high[eid]
     later = np.cumsum(np.bincount(low, minlength=n))[low] - np.arange(len(eid)) - 1
     ends = np.cumsum(later)  # slot e pairs with its later slots as wedges [ends - later, ends)
-    linked = np.zeros(n, dtype=np.float64)  # exact integers
+    triangles = np.zeros(n, dtype=np.int64)
     wedges = int(later.sum())
     for start in range(0, wedges, _WEDGE_CHUNK):
         w = np.arange(start, min(start + _WEDGE_CHUNK, wedges))
@@ -160,15 +158,11 @@ def _local_clustering(csr: DirectedGraph, directed: bool = False) -> np.ndarray:
         key = np.minimum(x, y) * n + np.maximum(x, y)
         pos = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
         tri = edges[pos] == key
-        e1, e2, pos = e1[tri], e2[tri], pos[tri]
-        linked += np.bincount(
-            np.concatenate((low[e1], high[e1], high[e2])),
-            weights=np.concatenate((weight[pos], weight[eid[e2]], weight[eid[e1]])),
-            minlength=n,
-        )
+        e1, e2 = e1[tri], e2[tri]
+        triangles += np.bincount(np.concatenate((low[e1], high[e1], high[e2])), minlength=n)
     out = np.zeros(n, dtype=np.float64)
     ok = deg >= 2
-    out[ok] = linked[ok] / (deg[ok] * (deg[ok] - 1))
+    out[ok] = 2 * triangles[ok] / (deg[ok] * (deg[ok] - 1))
     return out
 
 
@@ -177,27 +171,22 @@ def _ordered_mean(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) / len(values) if len(values) else 0.0
 
 
-def clustering_coefficient(graph: DirectedGraph, node: int, directed: bool = False) -> float:
+def clustering_coefficient(graph: DirectedGraph, node: int) -> float:
     """Fraction of this node's neighbor pairs that are themselves linked.
 
-    Neighbors are the distinct in- and out-neighbors. By default linkage is
-    checked without orientation; `directed=True` counts ordered arcs among
-    the neighbors against k*(k-1) instead.
+    Neighbors are the distinct in- and out-neighbors, and linkage is checked
+    without orientation.
     """
-    return float(_local_clustering(graph, directed)[node])
+    return float(_local_clustering(graph)[node])
 
 
-def average_clustering(
-    graph: DirectedGraph,
-    nodes: Optional[Iterable[int]] = None,
-    directed: bool = False,
-) -> float:
+def average_clustering(graph: DirectedGraph, nodes: Optional[Iterable[int]] = None) -> float:
     """Mean clustering coefficient over `nodes` (default: every node).
 
     Nodes with fewer than two neighbors contribute 0 and stay in the
     average.
     """
-    local = _local_clustering(graph, directed)
+    local = _local_clustering(graph)
     if nodes is not None:
         local = local[np.fromiter(nodes, dtype=np.int64)]
     return _ordered_mean(local)
@@ -236,12 +225,16 @@ class SamplePlan:
         """The `DirectedGraph.component` kind of `component`: weak or strong."""
         return "weak" if self.component == "weak_main" else "strong"
 
+    def size(self, n: int) -> int:
+        """Nodes sampled from an n-node component: ceil(fraction * n)."""
+        return math.ceil(self.fraction * n)
 
-def _sample_nodes(n: int, fraction: float, seed: int) -> np.ndarray:
-    size = math.ceil(fraction * n)
+
+def _sample_nodes(n: int, plan: SamplePlan) -> np.ndarray:
+    size = plan.size(n)
     if size >= n:
         return np.arange(n, dtype=np.int64)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(plan.seed)
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
@@ -343,7 +336,7 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     n = sub.n
     if n < 2:
         raise ValueError(f"{plan.component} has {n} node(s); nothing to average paths over")
-    sample = _sample_nodes(n, plan.fraction, plan.seed)
+    sample = _sample_nodes(n, plan)
     if len(sample) < 2:
         raise ValueError(
             f"sample of {len(sample)} node(s) from a {n}-node component "
@@ -357,9 +350,10 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     pull = _diagonal_pull(sub)
     out_deg = np.diff(sub.fwd_indptr)
     batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
-    results = _run_ordered(batches, lambda b: _batch_pair_sums(sub, b, sample, pull, out_deg),
-                           workers)
-    total, pairs, pushes, pulls = (sum(r[i] for r in results) for i in range(4))
+    total = pairs = pushes = pulls = 0
+    for t, p, pu, pl in _run_ordered(
+            batches, lambda b: _batch_pair_sums(sub, b, sample, pull, out_deg), workers):
+        total, pairs, pushes, pulls = total + t, pairs + p, pushes + pu, pulls + pl
     log.info("aspl: %d of %d nodes kept, %d sources in %d batches, %d push + %d pull levels",
              sub.n, n, len(sample), len(batches), pushes, pulls)
     if pairs == 0:
@@ -497,14 +491,19 @@ def _betweenness(csr: DirectedGraph, workers: int) -> tuple[np.ndarray, int, int
     chunks = np.split(swept, np.searchsorted(swept, range(_BRANDES_CHUNK, n, _BRANDES_CHUNK)))
     width = _brandes_width(n)
     heads = csr.fwd_indices.astype(np.intp)
-    results = _run_ordered(chunks, lambda c: _brandes_chunk(csr, c, width, heads, out_deg),
-                           workers)
-    # chunk partials add up in chunk order, whatever the worker count
-    cb = sum((r[0] for r in results), np.zeros(n))
-    sources, levels = int(live.sum()), sum(r[1] for r in results)
+    # chunk partials add up in chunk order as they arrive, whatever the
+    # worker count, so only the running total and a few partials are held
+    cb = np.zeros(n)
+    levels = wide = 0
+    for part, depth, widened in _run_ordered(
+            chunks, lambda c: _brandes_chunk(csr, c, width, heads, out_deg), workers):
+        cb += part
+        levels += depth
+        wide += widened
+    sources = int(live.sum())
     log.info("load centrality: %d-node component, %d sources in %d chunks, %d BFS levels, "
              "batches of %d (%d at %d after thin levels), %d zero-dependency sources skipped",
-             n, sources, len(chunks), levels, width, sum(r[2] for r in results),
+             n, sources, len(chunks), levels, width, wide,
              min(2 * width, _BRANDES_BATCH), sources - len(swept))
     return cb, sources, len(chunks), levels
 
@@ -601,7 +600,7 @@ def build_metrics_report(
     # a weak component keeps every neighbor of its nodes, a strong one may not
     main_acc = _ordered_mean(local[original] if plan.kind == "weak" else _local_clustering(sub))
     aspl_value, pairs = aspl(graph, plan, workers=workers)
-    sample_size = math.ceil(plan.fraction * sub.n)
+    sample_size = plan.size(sub.n)
 
     hub_ids = [v for v, _ in hist.max_hubs]
     loads = load_centrality(graph, hub_ids, workers=workers)

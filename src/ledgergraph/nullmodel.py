@@ -1,8 +1,9 @@
 """Size-matched random graphs and the small-world verdict.
 
-The comparison graph is drawn from the Erdős-Rényi model with the same
-node count and exactly the same arc count as the graph under analysis
-(G(n, m) mode); a G(n, p) mode is available as well. The verdict combines
+The comparison graph is a directed Erdős-Rényi graph with the same node
+count and exactly the same arc count as the graph under analysis (G(n, m)
+mode); a G(n, p) mode is available as well. Both draw ordered pairs of
+distinct nodes, so no arc is a self-loop. The verdict combines
 the clustering and path-length ratios into sigma = (C/C_r) / (L/L_r):
 well above 1 means small-world structure.
 """
@@ -24,14 +25,13 @@ class RandomGraphSpec:
     """Parameters for one random graph draw.
 
     Exactly one of `edge_count` (G(n, m)) or `edge_probability` (G(n, p))
-    must be given. Directed graphs draw ordered pairs; undirected ones draw
-    unordered pairs and store both arcs.
+    must be given. The graph is directed: a count or probability is of arcs,
+    out of the n(n-1) ordered pairs of distinct nodes.
     """
 
     node_count: int
     edge_count: Optional[int] = None
     edge_probability: Optional[float] = None
-    directed: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -49,22 +49,22 @@ class RandomGraphSpec:
             if self.edge_count > self.max_edges():
                 raise ValueError(
                     f"edge_count {self.edge_count} exceeds the {self.max_edges()} "
-                    f"possible {'arcs' if self.directed else 'edges'} on {self.node_count} nodes"
+                    f"possible arcs on {self.node_count} nodes"
                 )
 
     def max_edges(self) -> int:
-        n = self.node_count
-        return n * (n - 1) if self.directed else n * (n - 1) // 2
+        return self.node_count * (self.node_count - 1)
 
 
 def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
-    """Draw a random graph per `spec`, deterministically for a given seed.
+    """Draw a directed random graph per `spec`, deterministically for a
+    given seed.
 
-    G(n, m) draws exactly m distinct pairs uniformly (collision-retry,
-    cheap while m is far from saturation, correct regardless). G(n, p)
-    walks the pair-index space with geometric jumps, so the cost scales
-    with the number of arcs produced rather than n^2. An undirected pair
-    (i, j) is submitted as the two arcs (i, j) and (j, i).
+    G(n, m) draws exactly m distinct ordered pairs uniformly
+    (collision-retry, cheap while m is far from saturation, correct
+    regardless). G(n, p) walks the index space of the n(n-1) ordered pairs
+    with geometric jumps, so the cost scales with the number of arcs
+    produced rather than n^2.
     """
     n, p = spec.node_count, spec.edge_probability
     rng = np.random.default_rng(spec.seed)
@@ -80,8 +80,6 @@ def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
             a = rng.integers(0, n, size=batch)
             b = rng.integers(0, n, size=batch)
             a, b = a[a != b], b[a != b]
-            if not spec.directed:
-                a, b = np.minimum(a, b), np.maximum(a, b)
             new = a * n + b
             new = new[np.sort(np.unique(new, return_index=True)[1])]
             keys = np.concatenate((keys, new[~np.isin(new, keys)][: m - len(keys)]))
@@ -102,16 +100,9 @@ def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
                 covered += int(draw.sum())
             steps = np.concatenate(jumps).cumsum() - 1
             picks = steps[steps < total]
-        if spec.directed:  # linear index over the n*(n-1) ordered non-loop pairs
-            src, off = picks // (n - 1), picks % (n - 1)
-            dst = np.where(off < src, off, off + 1)
-        else:  # unordered pair index -> (i, j) with i < j; row i starts at base[i]
-            rows = np.arange(n, dtype=np.int64)
-            base = rows * (2 * n - rows - 1) // 2
-            src = np.searchsorted(base, picks, side="right") - 1
-            dst = picks - base[src] + src + 1
-    if not spec.directed:
-        src, dst = np.stack((src, dst), axis=1).ravel(), np.stack((dst, src), axis=1).ravel()
+        # linear index over the n*(n-1) ordered non-loop pairs
+        src, off = picks // (n - 1), picks % (n - 1)
+        dst = np.where(off < src, off, off + 1)
     return DirectedGraph(n, src, dst)
 
 
@@ -192,7 +183,7 @@ def small_world_compare(
         )
     with _stage("random generation"):
         random_graph = erdos_renyi(RandomGraphSpec(
-            node_count=real.node_count, edge_count=real.arc_count, directed=True, seed=seed))
+            node_count=real.node_count, edge_count=real.arc_count, seed=seed))
     with _stage("random metrics"):
         try:
             random_metrics = build_metrics_report(random_graph, plan, hub_count=0, workers=workers)

@@ -110,10 +110,6 @@ def _checked(obj: object) -> tuple:
     return row
 
 
-def record_from_json_dict(obj: object) -> TransactionRecord:
-    return TransactionRecord._make(_checked(obj))
-
-
 def iso_seconds(text: str) -> int:
     """Unix seconds of an ISO-8601 date or datetime. A trailing Z and a time
     with no zone both mean UTC; any other text raises ValueError."""

@@ -86,3 +86,15 @@ def test_one_stage_timer_and_one_component_mapping():
                        for side in sides) and any(map(_component_literal, sides)):
                     found.append(f"{path.name}:{node.lineno}: .component against a _main name")
     assert found == []
+
+
+def test_one_distinct_keys_spelling():
+    # `graph._distinct` is the one spelling of "sorted distinct keys"; only
+    # the twin draw's first sightings, in draw order, need `np.unique`
+    found = []
+    for path in sorted((ROOT / "src" / "ledgergraph").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{path.name}:{getattr(top, 'name', node.lineno)}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == "unique"]
+    assert found == ["nullmodel.py:erdos_renyi"]

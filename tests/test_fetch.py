@@ -71,6 +71,33 @@ class TestBackoff:
             assert len(result.records) == 3
         assert pauses == [5.0]
 
+    def test_fetch_logs_retries_and_pauses_of_all_fetchers(self, caplog):
+        # two fetchers share the two 429s; a fetch that fails logs its line too
+        txs = [ripple_tx(i, T0 + i) for i in range(3)]
+        with caplog.at_level("INFO", logger="ledgergraph"):
+            with FixtureServer(flaky(interval_responder(txs), fail_first=2)) as server:
+                result = fetch_transactions(ripple_job(server.url, workers=2),
+                                            policy=BackoffPolicy(factor=1.0), sleep=lambda s: None)
+            assert len(result.records) == 3
+            with FixtureServer(flaky(interval_responder(txs), fail_first=9)) as server:
+                with pytest.raises(FetchError):
+                    fetch_transactions(ripple_job(server.url), policy=BackoffPolicy(max_retries=1),
+                                       sleep=lambda s: None)
+        assert [r.getMessage() for r in caplog.records if "retries:" in r.getMessage()] == [
+            "fetch retries: 2 (10.0s paused)", "fetch retries: 1 (5.0s paused)"]
+
+    def test_cli_fetch_logs_retries_beside_the_dump(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("LEDGERGRAPH_BACKOFF_INITIAL", "0")
+        out = tmp_path / "dump.ndjson"
+        txs = [ripple_tx(i, T0 + i) for i in range(3)]
+        with caplog.at_level("INFO", logger="ledgergraph"):
+            with FixtureServer(flaky(interval_responder(txs), fail_first=1)) as server:
+                assert main(["fetch", "--ledger", "ripple", "--from", "2020-09-01",
+                             "--to", "2020-09-02", "--source", server.url,
+                             "--out", str(out)]) == 0
+        assert "fetch retries: 1 (0.0s paused)" in caplog.messages
+        assert len(out.read_text().splitlines()) == 3
+
     def test_documented_schedule_doubles_to_cap(self):
         always_429 = lambda path, query: (429, {"error": "slow down"})
         pauses = []

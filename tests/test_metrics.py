@@ -142,10 +142,6 @@ class TestClustering:
         # a one-way triangle clusters like a mutual one
         assert average_clustering(three_cycle()) == 1.0
 
-    def test_directed_mode_counts_arcs(self):
-        # one-way triangle: each node's two neighbors share 1 of 2 possible arcs
-        assert clustering_coefficient(three_cycle(), 0, directed=True) == pytest.approx(0.5)
-
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_triangle_counting_oracle(self, seed):
         rng = random.Random(seed + 100)
@@ -167,13 +163,12 @@ class TestClustering:
         n = rng.randrange(3, 90)
         g = random_digraph(n, rng.randrange(0, min(4 * n, n * (n - 1))), seed)
         monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 7)  # many wedge chunks
-        for directed in (False, True):
-            expected = oracles.local_clustering(g, directed)
-            assert [clustering_coefficient(g, v, directed) for v in range(n)] == expected
-            total = 0.0
-            for value in expected:  # left to right, as the removed loop added
-                total += value
-            assert average_clustering(g, directed=directed) == total / n
+        expected = oracles.local_clustering(g)
+        assert [clustering_coefficient(g, v) for v in range(n)] == expected
+        total = 0.0
+        for value in expected:  # left to right, as the removed loop added
+            total += value
+        assert average_clustering(g) == total / n
 
     def test_matches_networkx_at_scale(self):
         nx = pytest.importorskip("networkx")
@@ -248,7 +243,8 @@ class TestAspl:
     def test_each_direction_equals_bruteforce_on_a_sample(self, monkeypatch, alpha, min_column):
         g = multi_component_digraph()
         members = oracles.weak_main_members(g)
-        picked = metrics._sample_nodes(len(members), 0.5, 3)  # ids in the main component
+        # ids in the main component
+        picked = metrics._sample_nodes(len(members), SamplePlan(fraction=0.5, seed=3))
         assert len(picked) % metrics._BITS == 5  # the last batch has 5 sources
         among = {sorted(members)[i] for i in picked}
         expected = oracles.exact_aspl(g, members=members, among=among)
@@ -275,7 +271,7 @@ class TestAspl:
             (0.1, 0.3), ("weak_main", "strong_main"), (False, True)
         ):
             members = weak if component == "weak_main" else strong
-            picked = metrics._sample_nodes(len(members), fraction, seed)
+            picked = metrics._sample_nodes(len(members), SamplePlan(fraction, seed))
             among = {sorted(members)[i] for i in picked}
             expected = oracles.exact_aspl(g, undirected, members, among=among)
             measured.clear()
@@ -292,7 +288,7 @@ class TestAspl:
     def test_hubs_and_sources_equal_bruteforce(self, monkeypatch, alpha, min_column, fraction, seed):
         g = hub_digraph(seed)
         members = oracles.weak_main_members(g)
-        picked = metrics._sample_nodes(len(members), fraction, seed)
+        picked = metrics._sample_nodes(len(members), SamplePlan(fraction, seed))
         among = {sorted(members)[i] for i in picked}
         expected = oracles.exact_aspl(g, members=members, among=among)
         measured = []
@@ -544,6 +540,22 @@ class TestLoadCentrality:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * 2**20
+
+    def test_chunk_partials_are_added_as_they_arrive(self, monkeypatch):
+        # 200 chunks of 16 sources on a 3,198-node component: keeping every
+        # chunk's partial (25 KiB each) until the last chunk is done peaked
+        # at 6.2 MiB here; adding each to the running total as it arrives
+        # holds one at a time and peaked at 1.5 MiB
+        sub, _ = ledger_day(8000, 1).component("weak")
+        monkeypatch.setattr(metrics, "_BRANDES_CHUNK", 16)
+        tracemalloc.start()
+        try:
+            chunks = metrics._betweenness(sub, 1)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == 200
+        assert peak < 3 * 2**20
 
     def test_matches_networkx_betweenness_at_scale(self):
         # "Load" here is normalized shortest-path betweenness, so it must

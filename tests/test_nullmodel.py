@@ -67,12 +67,6 @@ class TestGnm:
         c = sorted(erdos_renyi(RandomGraphSpec(node_count=40, edge_count=120, seed=10)).arcs())
         assert a != c
 
-    def test_undirected_mode_symmetric(self):
-        g = erdos_renyi(RandomGraphSpec(node_count=30, edge_count=60, seed=3, directed=False))
-        arcs = set(g.arcs())
-        assert len(arcs) == 120
-        assert all((b, a) in arcs for a, b in arcs)
-
 
 class TestGnp:
     def test_concentration(self):
@@ -92,16 +86,6 @@ class TestGnp:
         assert g.arc_count == 0
         g = erdos_renyi(RandomGraphSpec(node_count=20, edge_probability=1.0, seed=0))
         assert g.arc_count == 20 * 19
-
-    def test_undirected_probability_mode(self):
-        g = erdos_renyi(
-            RandomGraphSpec(node_count=200, edge_probability=0.05, seed=5, directed=False)
-        )
-        arcs = set(g.arcs())
-        assert all((b, a) in arcs for a, b in arcs)
-        mean = 0.05 * 200 * 199 / 2
-        sd = math.sqrt(200 * 199 / 2 * 0.05 * 0.95)
-        assert abs(len(arcs) / 2 - mean) < 5 * sd
 
 
 class TestSigmaArithmetic:
