@@ -158,15 +158,18 @@ def build_arg_parser() -> _Parser:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    from .fetch import FetchError, FetchJob, fetch_transactions, resolve_endpoint
+    from .fetch import FetchError, FetchJob, fetch_transactions, policy_from_env, resolve_endpoint
     source = args.source or args.source_file
     api_key = None
-    try:  # a bad --config (unreadable, not JSON, wrong shape) is a usage error too
+    # a bad --config (unreadable, not JSON, wrong shape) or backoff variable
+    # is a usage error too, caught before any request
+    try:
         config = _json_object(args.config, "config file") if args.config else None
         if source is None or source.startswith(("http://", "https://")):
             source, api_key = resolve_endpoint(args.ledger, override=source, config=config)
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
                        source=source, workers=args.workers, api_key=api_key)
+        policy = policy_from_env()
     except (ValueError, OSError) as exc:
         return _fail("fetch", exc, EXIT_USAGE)
 
@@ -174,7 +177,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
         _require_out_dir(args.out)
         try:
             with _stage("fetch phase"):
-                result = fetch_transactions(job)
+                result = fetch_transactions(job, policy=policy)
                 _write_dump_sorted(result.records, args.out)
         except FetchError as exc:
             if exc.partial is not None and exc.partial.records:
@@ -305,6 +308,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def _format_metrics(doc: dict, indent: str = "") -> str:
     sizes = doc["component_sizes"]
+    sample = doc["sample"]
+    nodes = sample["nodes"]
+    if not nodes >= 2:
+        raise ValueError(f"malformed report document: a sample of {nodes!r} node(s) "
+                         "has no ordered pair")
+    reachable = sample["pairs_used"] / (nodes * (nodes - 1))
     lines = [
         f"{indent}graph ACC            {doc['graph_acc']:.6g}",
         f"{indent}main component ASPL  {doc['main_component_aspl']:.6g}",
@@ -314,9 +323,9 @@ def _format_metrics(doc: dict, indent: str = "") -> str:
         f"({sizes['weak_main']['fraction']:.1%} of {sizes['nodes']})",
         f"{indent}strong main size     {sizes['strong_main']['size']} "
         f"({sizes['strong_main']['fraction']:.1%})",
-        f"{indent}sample               {doc['sample']['fraction'] * 100:.15g}% of "
-        f"{doc['sample']['component']}, seed {doc['sample']['seed']}, "
-        f"{doc['sample']['pairs_used']} pairs",
+        f"{indent}sample               {sample['fraction'] * 100:.15g}% of "
+        f"{sample['component']}, seed {sample['seed']}, {sample['pairs_used']} pairs "
+        f"({reachable:.1%} of ordered sample pairs reachable)",
     ]
     if doc["hub_load"]:
         lines.append(f"{indent}hubs (degree: load centrality)")

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import _run_ordered, explorers
@@ -59,23 +60,45 @@ class FetchError(Exception):
 
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Pause schedule for 429s and transient network errors."""
+    """Pause schedule for 429s and transient network errors. Every value
+    must be finite and >= 0, so that no pause given to `sleep` is
+    negative or nan."""
 
     initial: float = 5.0
     factor: float = 2.0
     cap: float = 60.0
     max_retries: int = 8
 
+    def __post_init__(self) -> None:
+        for name in ("initial", "factor", "cap", "max_retries"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # false for nan too
+                raise ValueError(f"backoff {name} must be finite and >= 0, got {value!r}")
+
+
+# environment variable -> the policy field it sets, and how it parses
+_POLICY_ENV = {
+    "LEDGERGRAPH_BACKOFF_INITIAL": ("initial", float),
+    "LEDGERGRAPH_BACKOFF_FACTOR": ("factor", float),
+    "LEDGERGRAPH_BACKOFF_CAP": ("cap", float),
+    "LEDGERGRAPH_MAX_RETRIES": ("max_retries", int),
+}
+
 
 def policy_from_env(env: Optional[dict] = None) -> BackoffPolicy:
-    """Backoff policy with LEDGERGRAPH_BACKOFF_* environment overrides."""
+    """Backoff policy with LEDGERGRAPH_BACKOFF_* and LEDGERGRAPH_MAX_RETRIES
+    overrides; a value that does not parse or is out of range is a
+    ValueError that names its variable."""
     env = os.environ if env is None else env
-    return BackoffPolicy(
-        initial=float(env.get("LEDGERGRAPH_BACKOFF_INITIAL", 5.0)),
-        factor=float(env.get("LEDGERGRAPH_BACKOFF_FACTOR", 2.0)),
-        cap=float(env.get("LEDGERGRAPH_BACKOFF_CAP", 60.0)),
-        max_retries=int(env.get("LEDGERGRAPH_MAX_RETRIES", 8)),
-    )
+    policy = BackoffPolicy()
+    for var, (name, kind) in _POLICY_ENV.items():
+        if var in env:
+            try:
+                policy = replace(policy, **{name: kind(env[var])})
+            except ValueError:
+                what = "an integer" if kind is int else "a finite number"
+                raise ValueError(f"{var} must be {what} >= 0, got {env[var]!r}") from None
+    return policy
 
 
 @dataclass(frozen=True)

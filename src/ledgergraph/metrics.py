@@ -18,17 +18,21 @@ and keeps.
   heads of that node's out-arcs only; otherwise it pulls over all m
   reverse arcs. Both directions set the same bits. Distances are summed
   as exact integers, so a fraction-1 run reproduces the brute-force
-  all-pairs average bit for bit. It runs only on the nodes reached from
-  the sample that reach it back: no others lie on a shortest path
-  between two sampled nodes. Those nodes are renumbered by descending
-  in-degree, so the j-th in-arcs of all nodes that have one form a
-  prefix, a jagged diagonal (Saad, Iterative Methods for Sparse Linear
-  Systems, 2nd ed. 2003, JDS format): a pull is one gather and one or
-  per diagonal while _MIN_COLUMN nodes reach it, and one reduceat over
-  the few hubs' deeper in-arcs. A level's active set (the nodes whose
-  new bitset is nonzero) is read off a reused boolean mask, which
-  flatnonzero scans faster than the uint64 lanes, and a push reads its
-  counts from one out-degree array made per `aspl` call.
+  all-pairs average bit for bit, whatever the batch makeup. It runs only
+  on the nodes reached from the sample that reach it back: no others lie
+  on a shortest path between two sampled nodes. Only the sampled nodes
+  with an out-arc there are swept as sources: a sink's lane never leaves
+  its node, so it adds no distance and no pair, but it stays a target.
+  Each `aspl` call logs the sources swept and the sinks skipped. The
+  kept nodes are renumbered by descending in-degree, so the j-th
+  in-arcs of all nodes that have one form a prefix, a jagged diagonal
+  (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed. 2003, JDS
+  format): a pull is one gather and one or per diagonal while
+  _MIN_COLUMN nodes reach it, and one reduceat over the few hubs'
+  deeper in-arcs. A level's active set (the nodes whose new bitset is
+  nonzero) is read off a reused boolean mask, which flatnonzero scans
+  faster than the uint64 lanes, and a push reads its counts from one
+  out-degree array made per `aspl` call.
 - Load centrality is normalized shortest-path betweenness (it matches
   networkx.betweenness_centrality, not Goh load or
   networkx.load_centrality). It uses Brandes' per-source accumulation of
@@ -349,13 +353,16 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     sample = new_id[sample]
     pull = _diagonal_pull(sub)
     out_deg = np.diff(sub.fwd_indptr)
-    batches = [sample[i : i + _BITS] for i in range(0, len(sample), _BITS)]
+    # a sink's lane never leaves its node; it stays a target
+    swept = sample[out_deg[sample] > 0]
+    batches = [swept[i : i + _BITS] for i in range(0, len(swept), _BITS)]
     total = pairs = pushes = pulls = 0
     for t, p, pu, pl in _run_ordered(
             batches, lambda b: _batch_pair_sums(sub, b, sample, pull, out_deg), workers):
         total, pairs, pushes, pulls = total + t, pairs + p, pushes + pu, pulls + pl
-    log.info("aspl: %d of %d nodes kept, %d sources in %d batches, %d push + %d pull levels",
-             sub.n, n, len(sample), len(batches), pushes, pulls)
+    log.info("aspl: %d of %d nodes kept, %d of %d sources swept (%d sinks skipped) "
+             "in %d batches, %d push + %d pull levels", sub.n, n, len(swept), len(sample),
+             len(sample) - len(swept), len(batches), pushes, pulls)
     if pairs == 0:
         raise ValueError("no ordered pair in the sample is connected")
     return total / pairs, pairs

@@ -538,6 +538,47 @@ def test_report_prints_the_sample_fraction_exactly(tmp_path, capsys, fraction, s
     assert f"sample               {shown} of weak_main, seed 0, " in capsys.readouterr().out
 
 
+def test_report_prints_the_reachable_share_of_sample_pairs(tmp_path, capsys):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    net = tmp_path / "g.net"
+    cmp_path = tmp_path / "cmp.json"
+    main(["build", "--in", str(dump), "--out", str(net)])
+    assert main(["compare", "--in", str(net), "--out", str(cmp_path), "--sample", "1.0"]) == 0
+    doc = json.loads(cmp_path.read_text())
+    capsys.readouterr()
+    assert main(["report", "--in", str(cmp_path)]) == 0
+    out = capsys.readouterr().out
+    for part in ("real", "random"):
+        nodes, pairs = doc[part]["sample"]["nodes"], doc[part]["sample"]["pairs_used"]
+        assert 0 < pairs <= nodes * (nodes - 1)
+        share = f"{pairs / (nodes * (nodes - 1)):.1%}"
+        assert f", {pairs} pairs ({share} of ordered sample pairs reachable)\n" in out
+    doc["real"]["sample"].update(nodes=4, pairs_used=6)
+    cmp_path.write_text(json.dumps(doc))
+    assert main(["report", "--in", str(cmp_path)]) == 0
+    assert ", 6 pairs (50.0% of ordered sample pairs reachable)\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nodes", [1, 0])
+def test_report_with_a_sample_under_two_nodes_is_malformed(tmp_path, capsys, nodes):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump)
+    net = tmp_path / "g.net"
+    rpt = tmp_path / "r.json"
+    main(["build", "--in", str(dump), "--out", str(net)])
+    main(["analyze", "--in", str(net), "--out", str(rpt), "--sample", "1.0"])
+    doc = json.loads(rpt.read_text())
+    doc["sample"]["nodes"] = nodes
+    rpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--in", str(rpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"ledgergraph report: malformed report document: a sample of "
+                            f"{nodes} node(s) has no ordered pair\n")
+
+
 def test_report_omits_hub_header_without_hub_load(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     write_fixture_dump(dump)

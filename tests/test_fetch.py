@@ -128,6 +128,40 @@ class TestBackoff:
         policy = policy_from_env({"LEDGERGRAPH_BACKOFF_INITIAL": "0.5",
                                   "LEDGERGRAPH_MAX_RETRIES": "2"})
         assert policy == BackoffPolicy(initial=0.5, factor=2.0, cap=60.0, max_retries=2)
+        # the small schedule the benchmark sets, and a zero pause, stay valid
+        assert policy_from_env({"LEDGERGRAPH_BACKOFF_INITIAL": "0.01",
+                                "LEDGERGRAPH_BACKOFF_CAP": "0.04"}) == BackoffPolicy(0.01, cap=0.04)
+        assert policy_from_env({"LEDGERGRAPH_BACKOFF_INITIAL": "0"}).initial == 0.0
+
+    @pytest.mark.parametrize("name", ["initial", "factor", "cap", "max_retries"])
+    @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
+    def test_policy_rejects_negative_and_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=rf"^backoff {name} must be finite and >= 0, got "):
+            BackoffPolicy(**{name: value})
+
+    @pytest.mark.parametrize("var", ["LEDGERGRAPH_BACKOFF_INITIAL", "LEDGERGRAPH_BACKOFF_FACTOR",
+                                     "LEDGERGRAPH_BACKOFF_CAP", "LEDGERGRAPH_MAX_RETRIES"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan", ""])
+    def test_policy_env_error_names_the_variable(self, var, value):
+        kind = "an integer" if var == "LEDGERGRAPH_MAX_RETRIES" else "a finite number"
+        with pytest.raises(ValueError, match=rf"^{var} must be {kind} >= 0, got '{value}'$"):
+            policy_from_env({var: value})
+
+    @pytest.mark.parametrize("var", ["LEDGERGRAPH_BACKOFF_INITIAL", "LEDGERGRAPH_BACKOFF_FACTOR",
+                                     "LEDGERGRAPH_BACKOFF_CAP", "LEDGERGRAPH_MAX_RETRIES"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "nan"])
+    def test_cli_fetch_bad_backoff_setting_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                          var, value):
+        # before, "abc" was a traceback, and -1 or nan crashed in time.sleep
+        # at the first 429, after the requests before it
+        monkeypatch.setenv(var, value)
+        out = tmp_path / "dump.ndjson"
+        with FixtureServer(interval_responder([])) as server:
+            code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01",
+                         "--to", "2020-09-02", "--source", server.url, "--out", str(out)])
+            assert server.requests == []  # no request was made
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"ledgergraph fetch: {var} must be ")
 
     def test_exhausted_retries_identify_range(self):
         always_429 = lambda path, query: (429, {})

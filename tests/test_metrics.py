@@ -56,6 +56,43 @@ def hub_digraph(seed):
     return graph_from(arcs, 130)
 
 
+def utxo_digraph(seed, txs=120):
+    """A seeded UTXO-shaped day: each transaction links every one of its
+    1-3 inputs to every one of its 1-4 fresh outputs. Inputs are spent
+    from the seed coins and earlier outputs, but only a quarter of the
+    outputs are ever spendable, so most nodes only receive."""
+    rng = random.Random(seed)
+    spendable = list(range(4))
+    n = 4
+    arcs = []
+    for _ in range(txs):
+        inputs = rng.sample(spendable, min(len(spendable), rng.randint(1, 3)))
+        outputs = range(n, n + rng.randint(1, 4))
+        n += len(outputs)
+        arcs += [(a, b) for a in inputs for b in outputs]
+        spendable += [v for v in outputs if rng.random() < 0.25]
+    return graph_from(arcs, n)
+
+
+def record_batches(monkeypatch):
+    """Spy on the ASPL kernel: (subgraph, batch, targets) of each call."""
+    calls = []
+    kernel = metrics._batch_pair_sums
+
+    def recorded(csr, batch, targets, *args):
+        calls.append((csr, batch, targets))
+        return kernel(csr, batch, targets, *args)
+
+    monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
+    return calls
+
+
+def sample_of(g, plan):
+    """The node ids `aspl` samples from the weak main component."""
+    members = sorted(oracles.weak_main_members(g))
+    return {members[i] for i in metrics._sample_nodes(len(members), plan)}
+
+
 # _PUSH_ALPHA = 0: every level pushes; 2**62: every level with arcs to follow pulls.
 # A pull takes in-arc j of every node as a column while _MIN_COLUMN nodes have one:
 # at 1 every in-arc is in a column, at 2**62 every in-arc is in the reduceat rest.
@@ -245,7 +282,8 @@ class TestAspl:
         members = oracles.weak_main_members(g)
         # ids in the main component
         picked = metrics._sample_nodes(len(members), SamplePlan(fraction=0.5, seed=3))
-        assert len(picked) % metrics._BITS == 5  # the last batch has 5 sources
+        # 197 sampled nodes: 69 sinks, and 128 sources swept in two batches
+        assert len(picked) % metrics._BITS == 5
         among = {sorted(members)[i] for i in picked}
         expected = oracles.exact_aspl(g, members=members, among=among)
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
@@ -256,16 +294,9 @@ class TestAspl:
     @pytest.mark.parametrize("seed", range(10))
     def test_pruned_sample_equals_bruteforce(self, monkeypatch, alpha, min_column, seed):
         g = digraph_with_dead_ends(seed)
-        measured = []
-        kernel = metrics._batch_pair_sums
-
-        def recorded(csr, *args):
-            measured.append(csr.n)
-            return kernel(csr, *args)
-
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
         monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
-        monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
+        measured = record_batches(monkeypatch)
         weak, strong = oracles.weak_main_members(g), oracles.strong_main_members(g)
         for fraction, component, undirected in itertools.product(
             (0.1, 0.3), ("weak_main", "strong_main"), (False, True)
@@ -278,9 +309,9 @@ class TestAspl:
             plan = SamplePlan(fraction, seed, component, undirected)
             assert aspl(g, plan) == expected
             if component == "weak_main" and not undirected:
-                assert measured[0] < len(members)  # the dead ends were pruned
+                assert measured[0][0].n < len(members)  # the dead ends were pruned
             else:
-                assert measured[0] == len(members)  # strongly connected: nothing to prune
+                assert measured[0][0].n == len(members)  # strongly connected: nothing to prune
 
     @DIRECTIONS
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
@@ -291,23 +322,16 @@ class TestAspl:
         picked = metrics._sample_nodes(len(members), SamplePlan(fraction, seed))
         among = {sorted(members)[i] for i in picked}
         expected = oracles.exact_aspl(g, members=members, among=among)
-        measured = []
-        kernel = metrics._batch_pair_sums
-
-        def recorded(csr, batch, *args):
-            measured.append((csr, batch))
-            return kernel(csr, batch, *args)
-
         monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
         monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
-        monkeypatch.setattr(metrics, "_batch_pair_sums", recorded)
+        measured = record_batches(monkeypatch)
         assert aspl(g, SamplePlan(fraction, seed)) == expected
         csr = measured[0][0]
         in_deg = np.diff(csr.rev_indptr)
         # at the default _MIN_COLUMN a pull has columns and a hub rest
         assert np.count_nonzero(in_deg) >= 32 and in_deg.max() > 32
         if fraction == 1.0:  # the sources are sampled and kept
-            sampled = np.concatenate([batch for _, batch in measured])
+            sampled = np.concatenate([batch for _, batch, _ in measured])
             assert (in_deg[sampled] == 0).sum() >= 10
 
     def test_matches_networkx_at_scale(self):
@@ -339,6 +363,73 @@ class TestAspl:
         single = aspl(g, SamplePlan(fraction=1.0), workers=1)
         multi = aspl(g, SamplePlan(fraction=1.0), workers=8)
         assert single == multi
+
+    @DIRECTIONS
+    @pytest.mark.parametrize("fraction", [0.3, 1.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sink_heavy_sample_equals_bruteforce(self, monkeypatch, alpha, min_column,
+                                                 fraction, seed):
+        g = utxo_digraph(seed)
+        plan = SamplePlan(fraction, seed)
+        among = sample_of(g, plan)
+        out_deg = np.diff(g.fwd_indptr)
+        assert (out_deg[sorted(among)] == 0).sum() > len(among) / 2  # mostly receive-only
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
+        assert aspl(g, plan) == oracles.exact_aspl(g, among=among)
+
+    @DIRECTIONS
+    def test_out_star_equals_bruteforce(self, monkeypatch, alpha, min_column):
+        g = graph_from([(0, leaf) for leaf in range(1, 100)])
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
+        assert aspl(g, SamplePlan(fraction=1.0)) == oracles.exact_aspl(g) == (1.0, 99)
+
+    @DIRECTIONS
+    def test_one_source_among_sampled_sinks(self, monkeypatch, alpha, min_column):
+        # the sample's one node with an out-arc heads an unsampled relay
+        # chain that feeds every other sampled node, each a sink
+        plan = SamplePlan(fraction=0.3, seed=5)
+        picked = metrics._sample_nodes(60, plan).tolist()
+        source, sinks = picked[0], picked[1:]
+        relays = sorted(set(range(60)) - set(picked))
+        arcs = [(source, relays[0])] + list(zip(relays, relays[1:]))
+        arcs += [(relays[5 * i % len(relays)], t) for i, t in enumerate(sinks)]
+        g = graph_from(arcs, 60)
+        monkeypatch.setattr(metrics, "_PUSH_ALPHA", alpha)
+        monkeypatch.setattr(metrics, "_MIN_COLUMN", min_column)
+        calls = record_batches(monkeypatch)
+        expected = oracles.exact_aspl(g, among=set(picked))
+        assert expected[1] == len(sinks)
+        assert aspl(g, plan) == expected
+        assert [len(batch) for _, batch, _ in calls] == [1]
+
+    def test_all_sink_sample_has_no_pair(self, monkeypatch):
+        # every sampled node only receives, from unsampled nodes
+        plan = SamplePlan(fraction=0.3, seed=5)
+        picked = metrics._sample_nodes(60, plan).tolist()
+        rest = sorted(set(range(60)) - set(picked))
+        g = graph_from([(u, v) for u in rest for v in picked], 60)
+        calls = record_batches(monkeypatch)
+        with pytest.raises(ValueError, match="^no ordered pair in the sample is connected$"):
+            aspl(g, plan)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batches_hold_only_sources_with_an_out_arc(self, monkeypatch, seed):
+        g = utxo_digraph(seed, txs=600)
+        calls = record_batches(monkeypatch)
+        plan = SamplePlan(fraction=0.3, seed=seed)
+        assert aspl(g, plan) == oracles.exact_aspl(g, among=sample_of(g, plan))
+        csr, _, targets = calls[0]
+        out_deg = np.diff(csr.fwd_indptr)
+        assert (out_deg[targets] == 0).sum() > len(targets) / 2
+        for _, batch, _ in calls:
+            assert 0 < len(batch) <= metrics._BITS
+            assert (out_deg[batch] > 0).all()  # no sink's lane is swept
+        swept = np.concatenate([batch for _, batch, _ in calls])
+        # every sampled node with an out-arc is swept, once
+        assert sorted(swept.tolist()) == sorted(targets[out_deg[targets] > 0].tolist())
 
     def test_sample_too_small_rejected(self):
         g = graph_from([(0, 1), (1, 2), (2, 0)] + [(3, 4)])
