@@ -158,14 +158,15 @@ def build_arg_parser() -> _Parser:
 
 
 def cmd_fetch(args: argparse.Namespace) -> int:
-    from .fetch import FetchError, FetchJob, fetch_transactions, policy_from_env, resolve_endpoint
+    from .fetch import (FetchError, FetchJob, fetch_transactions, is_url, policy_from_env,
+                        resolve_endpoint)
     source = args.source or args.source_file
     api_key = None
     # a bad --config (unreadable, not JSON, wrong shape) or backoff variable
     # is a usage error too, caught before any request
     try:
         config = _json_object(args.config, "config file") if args.config else None
-        if source is None or source.startswith(("http://", "https://")):
+        if source is None or is_url(source):
             source, api_key = resolve_endpoint(args.ledger, override=source, config=config)
         job = FetchJob(ledger=args.ledger, start=args.start, end=args.end,
                        source=source, workers=args.workers, api_key=api_key)

@@ -12,8 +12,9 @@ task order. Ripple pages go in rounds of `workers` consecutive offsets,
 parsed in offset order on the calling thread, until the first short page
 or a round with a failed page. The block search runs on the first client;
 then fetcher `s` walks chunks `s, s + workers, ...` of `_BLOCKS_PER_TASK`
-blocks in order. This module loads no numpy, and no `http.client` or
-`ssl` until the first request.
+blocks in order. Requests go over `_Connection`, a small kept-alive
+HTTP/1.1 reader on `socket`. This module loads no numpy, no `socket`
+until the first request, and `ssl` only for an https:// explorer.
 
 Rate limiting: on a 429, or a transient 502/503/504, the worker sleeps,
 doubles its pause up to a cap, and retries the same request; the pause
@@ -42,8 +43,9 @@ _BLOCKS_PER_TASK = 8
 # rejects blocks stamped over 2 h ahead, and the median-of-11 rule keeps an
 # early stamp within about 2 h at 10-min spacing
 _BLOCK_TIME_SKEW = 7_200
-_HEADERS = {"Accept": "application/json", "User-Agent": "ledgergraph"}
+_HEADERS = "Accept: application/json\r\nUser-Agent: ledgergraph\r\nAccept-Encoding: identity\r\n"
 _TIMEOUT = 30.0  # seconds a connection waits on the socket
+_MAX_LINE, _MAX_HEADERS = 65_536, 100  # per response, as in http.client
 
 log = logging.getLogger("ledgergraph")
 
@@ -120,8 +122,11 @@ class FetchJob:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
-    def is_local(self) -> bool:
-        return not self.source.startswith(("http://", "https://"))
+
+def is_url(source: str) -> bool:
+    """Whether `source` names an HTTP explorer rather than a dump file: an
+    http:// or https:// URL, its scheme in any case (RFC 3986 §3.1)."""
+    return source[:8].lower().startswith(("http://", "https://"))
 
 
 @dataclass
@@ -130,15 +135,114 @@ class FetchResult:
     skipped_payloads: int = 0
 
 
-class RetryingClient:
-    """JSON GETs over kept-alive `http.client` connections, one per
-    (scheme, host:port), with per-instance (that is, per-worker) backoff.
+class _Connection:
+    """One HTTP/1.1 connection; `ssl` is loaded only for https://. A
+    response is framed as RFC 9112 §6 says: by chunked transfer coding, by
+    Content-Length, or by the close of the connection."""
 
-    A transport error (`OSError`, `http.client.HTTPException`) drops its
-    connection and takes the backoff path; but a GET that fails on a reused
-    connection before any response (the server closed it while idle) is
-    sent again at once on a new one, with no pause and no retry counted.
-    No redirects (a 3xx fails), proxies or gzip; HTTPS uses the system CAs.
+    def __init__(self, parts) -> None:
+        import socket
+        https = parts.scheme == "https"
+        address = (parts.hostname, parts.port or (443 if https else 80))
+        self.sock = socket.create_connection(address, timeout=_TIMEOUT)
+        if https:
+            import ssl
+            context = ssl.create_default_context()  # the system CAs
+            context.set_alpn_protocols(["http/1.1"])
+            self.sock = context.wrap_socket(self.sock, server_hostname=parts.hostname)
+        self.file = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+    def _line(self) -> bytes:
+        line = self.file.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise ValueError(f"response line over {_MAX_LINE} bytes")
+        return line
+
+    def _read(self, n: int) -> bytes:
+        data = self.file.read(n)
+        if len(data) < n:
+            raise OSError(f"response truncated {n - len(data)} bytes short")
+        return data
+
+    def send(self, request: bytes) -> bytes:
+        """Writes `request` and returns the status line of its response."""
+        self.sock.sendall(request)
+        line = self._line()
+        if not line:
+            raise ConnectionResetError("the server closed the connection without a response")
+        return line
+
+    def response(self, line: bytes) -> tuple[int, dict[str, str], bytes, bool]:
+        """(status, headers, body, whether the connection stays open) of the
+        response that status line `line` starts, after any interim 1xx
+        ones. Header names are lower case; a repeated header's values are
+        joined by ", "."""
+        while True:
+            version, _, rest = line.partition(b" ")
+            if version not in (b"HTTP/1.0", b"HTTP/1.1") or not rest[:3].isdigit() \
+                    or rest[3:4].strip():
+                raise ValueError(f"malformed status line {line[:80]!r}")
+            headers: dict[str, str] = {}
+            for _ in range(_MAX_HEADERS + 1):
+                header = self._line()
+                if header in (b"\r\n", b"\n"):
+                    break
+                if not header:
+                    raise OSError("response truncated in its headers")
+                name, _, value = header.decode("latin-1").partition(":")
+                name, value = name.strip().lower(), value.strip()
+                headers[name] = f"{headers[name]}, {value}" if name in headers else value
+            else:
+                raise ValueError(f"more than {_MAX_HEADERS} headers")
+            status = int(rest[:3])
+            if status >= 200:
+                break
+            line = self._line()
+        tokens = {token.strip().lower() for token in headers.get("connection", "").split(",")}
+        keep = "close" not in tokens if version == b"HTTP/1.1" else "keep-alive" in tokens
+        coding, length = headers.get("transfer-encoding"), headers.get("content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding is not None and coding.rpartition(",")[2].strip().lower() == "chunked":
+            body = self._chunked()
+        elif coding is None and length is not None:
+            if not length.isdigit():
+                raise ValueError(f"malformed Content-Length {length!r}")
+            body = self._read(int(length))
+        else:
+            body, keep = self.file.read(), False
+        return status, headers, body, keep
+
+    def _chunked(self) -> bytes:
+        pieces = []
+        while True:
+            size = self._line().partition(b";")[0].strip()  # a chunk extension is ignored
+            if not size.isalnum():
+                raise ValueError(f"malformed chunk size {size!r}")
+            if not (n := int(size, 16)):
+                break
+            pieces.append(self._read(n))
+            self._read(2)  # the CRLF that ends the chunk
+        while self._line() not in (b"\r\n", b"\n", b""):  # the trailer section is ignored
+            pass
+        return b"".join(pieces)
+
+
+class RetryingClient:
+    """JSON GETs over kept-alive HTTP/1.1 connections, one per (scheme,
+    host:port), with per-instance (that is, per-worker) backoff.
+
+    A transport error (`OSError`, or a `ValueError` for a response not
+    framed as HTTP/1.1 says) drops its connection and takes the backoff
+    path; but a GET that fails on a reused connection before any response
+    (the server closed it while idle) is sent again at once on a new one,
+    with no pause and no retry counted. `Connection: close`, an HTTP/1.0
+    reply without keep-alive, or a body ended by the close drops the
+    connection after the body. No redirects (a 3xx fails), proxies or gzip.
 
     Sleeps are routed through the injected `sleep` so tests can observe the
     schedule instead of waiting it out; `pauses` records every pause taken.
@@ -154,7 +258,7 @@ class RetryingClient:
         self.sleep = sleep
         self.api_key = api_key
         self.pauses: list[float] = []
-        self._conns: dict[tuple[str, str], object] = {}
+        self._conns: dict[tuple[str, str], _Connection] = {}
 
     def close(self) -> None:
         while self._conns:
@@ -162,35 +266,31 @@ class RetryingClient:
 
     def _get(self, url: str, params: dict) -> tuple[int, str, bytes]:
         """(status, Retry-After, body) of one GET of `url` with `params`."""
-        import http.client
         from urllib.parse import urlencode, urlsplit
         parts = urlsplit(url)  # explorer URLs carry no query of their own
         target = (parts.path or "/") + ("?" + urlencode(params) if params else "")
+        request = f"GET {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n{_HEADERS}\r\n".encode()
         key = (parts.scheme, parts.netloc)
         conn = self._conns.get(key)
-        if conn is None:
-            kind = http.client.HTTPSConnection if parts.scheme == "https" \
-                else http.client.HTTPConnection
-            conn = self._conns[key] = kind(parts.netloc, timeout=_TIMEOUT)
-        reused = conn.sock is not None
+        reused, keep = conn is not None, False
         try:
             try:
-                conn.request("GET", target, headers=_HEADERS)
-                resp = conn.getresponse()
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected included
+                if conn is None:
+                    conn = self._conns[key] = _Connection(parts)
+                line = conn.send(request)
+            except (ConnectionResetError, BrokenPipeError):
                 if not reused:
                     raise
-                conn.close()  # the next request opens a new connection
-                conn.request("GET", target, headers=_HEADERS)
-                resp = conn.getresponse()
-            body = resp.read()
-        except (OSError, http.client.HTTPException):
-            self._conns.pop(key).close()
-            raise
-        return resp.status, resp.getheader("Retry-After", "").strip(), body
+                conn.close()  # the server closed it while idle
+                conn = self._conns[key] = _Connection(parts)
+                line = conn.send(request)
+            status, headers, body, keep = conn.response(line)
+        finally:
+            if not keep and key in self._conns:
+                self._conns.pop(key).close()
+        return status, headers.get("retry-after", ""), body
 
     def get_json(self, url: str, params: Optional[dict] = None) -> dict:
-        import http.client
         params = dict(params or {})
         if self.api_key:
             params["apikey"] = self.api_key
@@ -200,7 +300,7 @@ class RetryingClient:
             pause = delay
             try:
                 status, wait, body = self._get(url, params)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, ValueError) as exc:  # ValueError: a response framed wrong
                 if retries >= self.policy.max_retries:
                     raise FetchError(f"{url} unreachable after {retries} retries: {exc}") from exc
             else:
@@ -436,7 +536,7 @@ def fetch_transactions(
     any partial result) when a range cannot be retrieved. An HTTP fetch,
     failed or not, logs its retries and the seconds its fetchers paused.
     """
-    if job.is_local():
+    if not is_url(job.source):
         with open(job.source, encoding="utf-8") as fh:
             records, skipped = read_dump_lenient(fh)
         kept = [r for r in records if job.start <= r.timestamp < job.end]

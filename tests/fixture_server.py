@@ -91,6 +91,37 @@ class OneShotServer(FixtureServer):
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
 
+class KeptAliveServer(FixtureServer):
+    """Answers every request on a connection, for as long as the client
+    keeps it open, with the raw bytes `render(path, query)` returns. It
+    never closes a connection itself, whatever the response said, so a
+    client that reuses a connection it should have dropped is seen.
+
+    Requests are recorded in `requests` as FixtureServer records them, and
+    `connections` counts the connections accepted.
+    """
+
+    def __init__(self, render: Callable[[str, dict], bytes]):
+        self.requests: list[tuple[str, dict]] = []
+        self.connections = 0
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self) -> None:
+                outer.connections += 1
+                while request_line := self.rfile.readline():
+                    while self.rfile.readline().strip():  # the headers
+                        pass
+                    parsed = urlparse(request_line.split()[1].decode())
+                    query = {k: v[0] for k, v in parse_qs(parsed.query).items()}
+                    outer.requests.append((parsed.path, query))
+                    self.wfile.write(render(parsed.path, query))
+
+        self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+
 def http11(status: int, payload: object, declared_length: Optional[int] = None) -> bytes:
     """A raw HTTP/1.1 response with a JSON body and no `Connection` header.
     `declared_length` overrides the `Content-Length` the response announces."""

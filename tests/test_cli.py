@@ -358,6 +358,22 @@ def test_fetch_from_fixture_server(tmp_path):
     assert stamps == sorted(stamps)
 
 
+@pytest.mark.parametrize("scheme", ["HTTP", "Http"])
+def test_fetch_url_scheme_in_any_case(tmp_path, scheme):
+    # a URL scheme is case-insensitive (RFC 3986 §3.1): not a dump file name
+    txs = [{"hash": f"H{i}", "date": T0 + i,
+            "tx": {"TransactionType": "Payment", "Account": "rA", "Destination": "rB"}}
+           for i in range(3)]
+    out = tmp_path / "dump.ndjson"
+    with FixtureServer(interval_responder(txs)) as server:
+        code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01",
+                     "--to", "2020-09-02", "--out", str(out),
+                     "--source", server.url.replace("http", scheme, 1)])
+        assert len(server.requests) == 1
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
 def test_fetch_empty_interval_writes_empty_dump(tmp_path, capsys):
     out = tmp_path / "dump.ndjson"
     with FixtureServer(interval_responder([])) as server:

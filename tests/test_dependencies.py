@@ -98,3 +98,33 @@ def test_one_distinct_keys_spelling():
                       for node in ast.walk(top) if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Attribute) and node.func.attr == "unique"]
     assert found == ["nullmodel.py:erdos_renyi"]
+
+
+_HTTP_LIBRARIES = ("http.client", "urllib.request", "requests")
+
+
+def _imported_names(node: ast.AST) -> list[str]:
+    """Every dotted name an import statement may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_fetch_starts_without_an_http_library():
+    # requests go over `fetch._Connection` on `socket`; `ssl` is loaded only
+    # inside a function, for an https:// explorer
+    found = []
+    for path in sorted((ROOT / "src" / "ledgergraph").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {id(node) for function in ast.walk(tree)
+                        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            for name in _imported_names(node):
+                if any(name == lib or name.startswith(lib + ".") for lib in _HTTP_LIBRARIES):
+                    found.append(f"{path.name}:{node.lineno}: import {name}")
+                elif name == "ssl" and id(node) not in in_functions:
+                    found.append(f"{path.name}:{node.lineno}: ssl at module level")
+    assert found == []

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from ledgergraph.cli import main
 from ledgergraph.records import TransactionRecord, write_dump
 
 from fixture_server import (
-    FixtureServer, OneShotServer, block_responder, flaky, http11, interval_responder,
+    FixtureServer, KeptAliveServer, OneShotServer, block_responder, flaky, http11,
+    interval_responder,
 )
 
 DAY = 86_400
@@ -632,6 +634,11 @@ class TestEndpointResolution:
             FetchJob(ledger="ripple", start=0, end=1, source="x", workers=0)
 
 
+# a Ripple page of three transactions in the window, and a response serving it
+_PAGE = json.dumps({"transactions": [ripple_tx(i, T0 + i) for i in range(3)]}).encode()
+_PAGE_RESPONSE = http11(200, json.loads(_PAGE))
+
+
 class TestKeptAliveTransport:
     def test_connection_closed_while_idle_is_resent_at_once(self):
         txs = [ripple_tx(i, T0 + i) for i in range(250)]
@@ -681,6 +688,102 @@ class TestKeptAliveTransport:
             client.close()
             assert [path for path, _ in server.requests] == ["/v2/transactions"]
 
+    def test_chunked_body_with_extension_and_trailer_keeps_the_connection(self):
+        chunks = b"".join(b"%x;name=value\r\n%s\r\n" % (len(part), part)
+                          for part in (_PAGE[:7], _PAGE[7:]))
+        raw = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunks
+               + b"0\r\nX-Checksum: none\r\n\r\n")
+        pauses = []
+        with KeptAliveServer(lambda path, query: raw) as server:
+            client = RetryingClient(BackoffPolicy(), sleep=pauses.append)
+            pages = [client.get_json(server.url + "/v2/transactions") for _ in range(2)]
+            client.close()
+            assert server.connections == 1
+        assert pages == [json.loads(_PAGE)] * 2
+        assert pauses == []
+
+    def test_body_without_a_length_ends_when_the_server_closes(self):
+        raw = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + _PAGE
+        pauses = []
+        with OneShotServer(lambda path, query: raw) as server:
+            result = fetch_transactions(ripple_job(server.url), sleep=pauses.append)
+        assert len(result.records) == 3
+        assert pauses == []
+
+    @pytest.mark.parametrize("head, connections", [
+        (b"HTTP/1.1 200 OK\r\nConnection: close", 2),
+        (b"HTTP/1.0 200 OK", 2),
+        (b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive", 1),
+        (b"HTTP/1.1 200 OK", 1),
+    ], ids=["close", "1.0", "1.0-keep-alive", "1.1"])
+    def test_second_request_opens_a_new_connection_only_after_a_close(self, head, connections):
+        # the server never closes, so a connection the client should have
+        # dropped would carry the second request
+        raw = head + b"\r\nContent-Length: %d\r\n\r\n%s" % (len(_PAGE), _PAGE)
+        pauses = []
+        with KeptAliveServer(lambda path, query: raw) as server:
+            client = RetryingClient(BackoffPolicy(), sleep=pauses.append)
+            for _ in range(2):
+                assert client.get_json(server.url + "/v2/transactions") == json.loads(_PAGE)
+            client.close()
+            assert server.connections == connections
+            assert len(server.requests) == 2
+        assert pauses == []
+
+    def test_bodiless_and_interim_responses_keep_the_connection(self):
+        # a 204 has no body; an interim 103 comes before the real response
+        answers = iter([b"HTTP/1.1 204 No Content\r\n\r\n",
+                        b"HTTP/1.1 103 Early Hints\r\nLink: </v2>\r\n\r\n" + _PAGE_RESPONSE])
+        with KeptAliveServer(lambda path, query: next(answers)) as server:
+            client = RetryingClient(BackoffPolicy(), sleep=lambda s: None)
+            with pytest.raises(FetchError, match="returned HTTP 204"):
+                client.get_json(server.url + "/v2/transactions")
+            assert client.get_json(server.url + "/v2/transactions") == json.loads(_PAGE)
+            client.close()
+            assert server.connections == 1
+
+    def test_lower_case_retry_after_lengthens_the_pause(self):
+        answers = iter([b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 3\r\n"
+                        b"Content-Length: 0\r\n\r\n", _PAGE_RESPONSE])
+        pauses = []
+        with KeptAliveServer(lambda path, query: next(answers)) as server:
+            result = fetch_transactions(ripple_job(server.url),
+                                        policy=BackoffPolicy(initial=2.0, cap=10.0),
+                                        sleep=pauses.append)
+            assert server.connections == 1
+        assert len(result.records) == 3
+        assert pauses == [3.0]
+
+    @pytest.mark.parametrize("first, pauses", [
+        (b"", [5.0]),  # on a new connection, no answer is no idle close
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{\"transactions\": [", [5.0]),
+        (b"HTTP/1.1 2OO OK\r\nContent-Length: 2\r\n\r\n{}", [5.0]),
+        (b"ICY 200 OK\r\nContent-Length: 2\r\n\r\n{}", [5.0]),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n{}", [5.0]),
+        (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"1" * 65_536 + b"\r\n\r\n{}", [5.0]),
+        (b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 99 + b"Content-Length: %d\r\n\r\n%s"
+         % (len(_PAGE), _PAGE), []),
+    ], ids=["no-response", "truncated-chunk", "malformed-status", "not-http", "101-headers",
+            "line-over-64KiB", "100-headers"])
+    def test_malformed_response_takes_one_pause_then_the_retry_succeeds(self, first, pauses):
+        answers = iter([first, _PAGE_RESPONSE])
+        taken = []
+        with OneShotServer(lambda path, query: next(answers)) as server:
+            result = fetch_transactions(ripple_job(server.url), sleep=taken.append)
+        assert len(result.records) == 3
+        assert taken == pauses
+
+    def test_https_to_a_plain_http_server_fails_the_handshake_and_the_range(self):
+        pauses = []
+        with FixtureServer(interval_responder([])) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(ripple_job(server.url.replace("http://", "https://")),
+                                   policy=BackoffPolicy(max_retries=1), sleep=pauses.append)
+        assert pauses == [5.0]
+        assert "page offset 0: " in exc.value.failed_ranges[0]
+        assert "unreachable after 1 retries" in exc.value.failed_ranges[0]
+        assert "SSL" in exc.value.failed_ranges[0]
+
 
 def _python_env() -> dict:
     src = os.path.dirname(os.path.dirname(ledgergraph.__file__))
@@ -688,20 +791,31 @@ def _python_env() -> dict:
 
 
 def test_only_fetching_imports_requests(tmp_path):
-    # importing the CLI loads no HTTP client and no numpy; fetch loads no numpy
+    # importing the CLI loads no HTTP client and no numpy; an http:// fetch
+    # loads neither numpy nor http.client, its email header parser or ssl,
+    # and an https:// one loads ssl
     code = ("import sys, ledgergraph.cli, ledgergraph; ledgergraph.FetchJob; "
             "loaded = {'requests', 'http.client', 'ssl', 'numpy'} & set(sys.modules); "
             "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], env=_python_env(), check=True)
     fetch = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
-             "loaded = {'requests', 'numpy'} & set(sys.modules); assert not loaded, loaded; "
-             "assert 'http.client' in sys.modules; sys.exit(code)")
+             "loaded = {'requests', 'numpy', 'http.client', 'email.parser', 'ssl'} "
+             "& set(sys.modules); assert not loaded, loaded; sys.exit(code)")
+    tls = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
+           "assert 'ssl' in sys.modules; sys.exit(code)")
     out = tmp_path / "dump.ndjson"
+    argv = ["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+            "--out", str(out), "--source"]
     with FixtureServer(interval_responder([ripple_tx(i, T0 + i) for i in range(3)])) as server:
-        subprocess.run([sys.executable, "-c", fetch, "fetch", "--ledger", "ripple",
-                        "--from", "2020-09-01", "--to", "2020-09-02", "--source", server.url,
-                        "--out", str(out)], env=_python_env(), check=True)
-    assert len(out.read_text().splitlines()) == 3
+        subprocess.run([sys.executable, "-c", fetch, *argv, server.url],
+                       env=_python_env(), check=True)
+        assert len(out.read_text().splitlines()) == 3
+        # the fixture speaks no TLS, so the handshake fails and the fetch exits 2
+        failed = subprocess.run([sys.executable, "-c", tls, *argv,
+                                 server.url.replace("http://", "https://")],
+                                env={**_python_env(), "LEDGERGRAPH_MAX_RETRIES": "0"},
+                                stderr=subprocess.DEVNULL)
+    assert failed.returncode == 2
 
 
 def test_commands_that_never_fetch_load_no_http_client(tmp_path):
