@@ -105,7 +105,8 @@ def policy_from_env(env: Optional[dict] = None) -> BackoffPolicy:
 
 @dataclass(frozen=True)
 class FetchJob:
-    """One retrieval task: a ledger, a [start, end) window, a source."""
+    """One retrieval task: a ledger, a [start, end) window, a source. An
+    explorer URL must name a host, and a port if any in 1-65535."""
 
     ledger: str
     start: int
@@ -121,6 +122,16 @@ class FetchJob:
             raise ValueError(f"empty interval [{self.start}, {self.end})")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if is_url(self.source):  # caught here, not retried as a connection fault
+            from urllib.parse import urlsplit
+            try:
+                parts = urlsplit(self.source)
+                if parts.port == 0:  # `port` raises for one that does not parse or is too big
+                    raise ValueError("port 0 cannot be connected to")
+            except ValueError as exc:
+                raise ValueError(f"explorer URL {self.source!r}: {exc}") from None
+            if not parts.hostname:
+                raise ValueError(f"explorer URL {self.source!r} names no host")
 
 
 def is_url(source: str) -> bool:
@@ -380,7 +391,7 @@ def _keyed_records(
     for tx in txs:
         try:
             record = parse(tx)
-        except (explorers.PayloadError, ValueError):
+        except ValueError:  # a PayloadError, or a field TransactionRecord rejects
             record = None
         if record is None:
             skipped += 1

@@ -19,13 +19,16 @@ strong ones by a degree mask, one forward-backward pass from the
 max-degree pivot (Hong, Rodia & Olukotun 2013) and an iterative Tarjan
 on the rest; a component's subgraph by a mask renumbered with `cumsum`,
 so its ids follow ascending original id exactly as `induced_subgraph`
-numbers them. A graph computes each component kind once and keeps it, so
-one report finds each main component once.
+numbers them. A graph computes each component kind, and its undirected
+projection's distinct edges, once and keeps them, so one report finds
+each main component once and lists the projection once for degrees and
+clustering alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -54,8 +57,9 @@ class DirectedGraph:
     same arcs by (head, tail). Node ids are consecutive integers starting
     at 0. Nodes built from ledger records carry their address; synthetic
     graphs, components and unlabeled Pajek files keep no address table.
-    Component labels and component subgraphs are computed on first use and
-    kept, so every metric run on one graph shares them.
+    Component labels, component subgraphs and the undirected projection are
+    computed on first use and kept, so every metric run on one graph shares
+    them. Node ids must stay below 2**31: the arc heads are int32.
     """
 
     def __init__(self, n: int = 0, src: Sequence[int] = _NO_ARCS, dst: Sequence[int] = _NO_ARCS,
@@ -67,8 +71,8 @@ class DirectedGraph:
         stored. The result does not depend on the order of the submissions.
         `labels[v]` is the address of node v (None for an unlabeled node).
         """
-        if n < 0:
-            raise ValueError(f"node count must be >= 0, got {n}")
+        if not 0 <= n < 2**31:
+            raise ValueError(f"node count must be in [0, 2**31), got {n}")
         src, dst = np.asarray(src), np.asarray(dst)
         if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
             raise ValueError(f"an arc references a node id outside [0, {n})")
@@ -132,6 +136,16 @@ class DirectedGraph:
         heads = self.fwd_indices.astype(np.int64)
         return DirectedGraph(self.n, np.concatenate((self.tails, heads)),
                              np.concatenate((heads, self.tails)), self._addresses)
+
+    @cached_property
+    def undirected_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The undirected projection's distinct edges as sorted keys a*n + b
+        (a < b), and each node's degree there: its distinct in- and
+        out-neighbours."""
+        n = self.n
+        heads = self.fwd_indices.astype(np.int64)
+        edges = _distinct(np.minimum(self.tails, heads) * n + np.maximum(self.tails, heads))
+        return edges, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
 
     def labels(self, kind: str) -> np.ndarray:
         """Component of every node, named by its lowest node id."""

@@ -2,12 +2,13 @@
 
 Every metric reads the CSR arrays of a `graph.DirectedGraph`. The
 metrics `build_metrics_report` runs on one graph share the component
-labels and the main component's subgraph, which the graph computes once
-and keeps.
+labels, the main component's subgraph and the undirected projection,
+which the graph computes once and keeps.
 
 - In- and out-degrees come from the row pointers; total degrees, and
-  clustering, from one list of the undirected projection's distinct
-  edges, so a mutual pair counts once.
+  clustering, from the graph's list of its undirected projection's
+  distinct edges (`DirectedGraph.undirected_edges`), so a mutual pair
+  counts once.
 - Clustering lists every triangle once on the undirected projection,
   each edge oriented by degree (Latapy 2008), and averages the per-node
   values left to right, as a per-node loop adds them.
@@ -68,7 +69,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import DirectedGraph, _arc_slots, _distinct, _reach
+from .graph import DirectedGraph, _arc_slots, _masked_arcs, _reach
 
 log = logging.getLogger("ledgergraph")
 
@@ -105,7 +106,7 @@ def degree_distribution(graph: DirectedGraph, hub_count: int = 10) -> DegreeHist
     if hub_count < 0:
         raise ValueError(f"hub_count must be >= 0, got {hub_count}")
     in_deg, out_deg = np.diff(graph.rev_indptr), np.diff(graph.fwd_indptr)
-    total_deg = _distinct_edges(graph)[1]
+    total_deg = graph.undirected_edges[1]
 
     def table(deg: np.ndarray) -> dict[int, int]:
         return {int(d): int(c) for d, c in enumerate(np.bincount(deg)) if c}
@@ -124,16 +125,6 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
-def _distinct_edges(csr: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The undirected projection's distinct edges as sorted keys a*n + b
-    (a < b), and each node's degree there: its distinct in- and
-    out-neighbours."""
-    n = csr.n
-    heads = csr.fwd_indices.astype(np.int64)
-    edges = _distinct(np.minimum(csr.tails, heads) * n + np.maximum(csr.tails, heads))
-    return edges, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
-
-
 def _local_clustering(csr: DirectedGraph) -> np.ndarray:
     """Clustering coefficient of every node, by degree-ordered triangle
     listing (Latapy 2008) on the undirected simple projection: each edge
@@ -144,7 +135,7 @@ def _local_clustering(csr: DirectedGraph) -> np.ndarray:
     at a time.
     """
     n = csr.n
-    edges, deg = _distinct_edges(csr)
+    edges, deg = csr.undirected_edges
     a, b = edges // n, edges % n  # a < b
     flip = deg[a] > deg[b]
     low, high = np.where(flip, b, a), np.where(flip, a, b)
@@ -246,13 +237,12 @@ def _in_degree_order(sub: DirectedGraph, keep: np.ndarray) -> tuple[DirectedGrap
     """Subgraph on the nodes `keep` selects, renumbered by descending
     in-degree within it (ties: ascending id), and each old node's new id
     (meaningless for a node not kept)."""
-    arc = keep[sub.tails] & keep[sub.fwd_indices]
-    kept = np.flatnonzero(keep)
-    in_deg = np.bincount(sub.fwd_indices[arc], minlength=sub.n)
-    order = kept[np.argsort(-in_deg[kept], kind="stable")]
+    n, tails, heads = _masked_arcs(sub, keep)  # ids in ascending old id
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-np.bincount(heads, minlength=n), kind="stable")] = np.arange(n)
     new_id = np.zeros(sub.n, dtype=np.int64)
-    new_id[order] = np.arange(len(order))
-    return DirectedGraph(len(order), new_id[sub.tails[arc]], new_id[sub.fwd_indices[arc]]), new_id
+    new_id[keep] = rank
+    return DirectedGraph(n, rank[tails], rank[heads]), new_id
 
 
 def _diagonal_pull(csr: DirectedGraph) -> Callable[[np.ndarray], np.ndarray]:

@@ -47,7 +47,6 @@ class FixtureServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property
     def url(self) -> str:
@@ -55,7 +54,10 @@ class FixtureServer:
         return f"http://{host}:{port}"
 
     def __enter__(self) -> "FixtureServer":
-        self._thread.start()
+        # `shutdown()` waits for the serve loop's next poll: the default
+        # 0.5 s would be paid by every test that starts a server
+        threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.01},
+                         daemon=True).start()
         return self
 
     def __exit__(self, *exc) -> None:
@@ -88,7 +90,6 @@ class OneShotServer(FixtureServer):
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
 
 class KeptAliveServer(FixtureServer):
@@ -119,7 +120,6 @@ class KeptAliveServer(FixtureServer):
 
         self._server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
         self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
 
 def http11(status: int, payload: object, declared_length: Optional[int] = None) -> bytes:

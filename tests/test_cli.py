@@ -194,6 +194,15 @@ def test_analyze_bad_pajek_exits_three(tmp_path):
     assert main(["analyze", "--in", str(net), "--out", str(tmp_path / "r.json")]) == 3
 
 
+def test_analyze_vertex_count_past_int32_ids_exits_three(tmp_path, capsys):
+    # before, numpy failed to allocate 72.8 TiB and the traceback exited 1
+    net = tmp_path / "huge.net"
+    net.write_text("*Vertices 10000000000000\n*Arcs\n1 2\n")
+    assert main(["analyze", "--in", str(net), "--out", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == (
+        "ledgergraph analyze: node count must be in [0, 2**31), got 10000000000000\n")
+
+
 def test_analyze_bad_sample_fraction_is_usage_error(tmp_path):
     net = tmp_path / "g.net"
     net.write_text("*Vertices 2\n*Arcs\n1 2\n")
@@ -393,6 +402,36 @@ def test_fetch_unreachable_endpoint_exits_two(tmp_path, capsys, monkeypatch):
                  "--source", "http://127.0.0.1:9"])  # discard port: refused
     assert code == 2
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["source", "env"])
+@pytest.mark.parametrize("url", ["http://127.0.0.1:99999", "http://127.0.0.1:abc",
+                                 "http://127.0.0.1:0", "http:///x", "http://"],
+                         ids=["port-out-of-range", "port-not-a-number", "port-zero", "no-host",
+                              "empty"])
+def test_fetch_malformed_explorer_url_is_usage_error(tmp_path, capsys, monkeypatch, url, route):
+    # before, each one was retried as a connection fault and exited 2
+    monkeypatch.setenv("LEDGERGRAPH_BACKOFF_INITIAL", "0")
+    monkeypatch.setenv("LEDGERGRAPH_BACKOFF_CAP", "0")
+    requests = []
+
+    def refused(self, url, params):
+        requests.append(url)
+        raise ConnectionRefusedError(url)
+
+    monkeypatch.setattr("ledgergraph.fetch.RetryingClient._get", refused)
+    out = tmp_path / "dump.ndjson"
+    argv = ["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+            "--out", str(out)]
+    if route == "source":
+        argv += ["--source", url]
+    else:
+        monkeypatch.setenv("LEDGERGRAPH_RIPPLE_URL", url)
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, requests) == (1, []) and not out.exists()
+    assert err.startswith(f"ledgergraph fetch: explorer URL {url!r}")
+    assert len(err.splitlines()) == 1
 
 
 def test_fetch_malformed_explorer_response_exits_two(tmp_path, capsys):

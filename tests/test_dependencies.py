@@ -100,6 +100,28 @@ def test_one_distinct_keys_spelling():
     assert found == ["nullmodel.py:erdos_renyi"]
 
 
+def _subscript_attr(node: ast.AST) -> str:
+    """`y` of an `x[….y]` subscript, else ""."""
+    inner = node.slice if isinstance(node, ast.Subscript) else None
+    return inner.attr if isinstance(inner, ast.Attribute) else ""
+
+
+def test_metrics_takes_the_projection_and_the_cut_from_the_graph():
+    # `DirectedGraph.undirected_edges` lists the undirected projection and
+    # `graph._masked_arcs` cuts a subgraph's arcs: metrics spells neither
+    tree = ast.parse((ROOT / "src" / "ledgergraph" / "metrics.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias) and node.name == "_distinct" \
+                or isinstance(node, ast.Name) and node.id == "_distinct" \
+                or isinstance(node, ast.Attribute) and node.attr == "_distinct":
+            found.append(f"metrics.py:{getattr(node, 'lineno', '?')}: _distinct")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd) and sorted(
+                map(_subscript_attr, (node.left, node.right))) == ["fwd_indices", "tails"]:
+            found.append(f"metrics.py:{node.lineno}: arc mask")
+    assert found == []
+
+
 _HTTP_LIBRARIES = ("http.client", "urllib.request", "requests")
 
 

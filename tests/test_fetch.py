@@ -463,6 +463,30 @@ class TestBlockFetch:
         assert sorted(r.recipients[0] for r in result.records) == ["0xa", "0xb", "0xc", "0xd"]
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("sender", ["", 5, _ABSENT], ids=["empty", "number", "missing"])
+@pytest.mark.parametrize("ledger", ["ripple", "ethereum"])
+def test_row_with_a_bad_sender_is_skipped_and_counted(ledger, sender):
+    # the Ripple `Account` or Etherscan `from`: TransactionRecord rejects it
+    if ledger == "ripple":
+        rows = [ripple_tx(i, T0 + i) for i in range(3)]
+        row, key, serve = rows[1]["tx"], "Account", interval_responder(rows)
+    else:
+        rows = [eth_tx(i, T0 + i) for i in range(3)]
+        row, key, serve = rows[1], "from", block_responder([(T0, rows)])
+    if sender is _ABSENT:
+        del row[key]
+    else:
+        row[key] = sender
+    with FixtureServer(serve) as server:
+        result = fetch_transactions(FetchJob(ledger=ledger, start=T0, end=T0 + DAY,
+                                             source=server.url))
+    assert sorted(r.timestamp for r in result.records) == [T0, T0 + 2]
+    assert result.skipped_payloads == 1
+
+
 class TestClientsPerFetch:
     """Each of the `workers` fetchers uses one client for the whole fetch."""
 
@@ -632,6 +656,18 @@ class TestEndpointResolution:
             FetchJob(ledger="nope", start=0, end=1, source="x")
         with pytest.raises(ValueError):
             FetchJob(ledger="ripple", start=0, end=1, source="x", workers=0)
+
+    @pytest.mark.parametrize("url, why", [
+        ("http://127.0.0.1:99999", ": Port out of range 0-65535"),
+        ("http://127.0.0.1:abc", ": Port could not be cast to integer value as 'abc'"),
+        ("http://127.0.0.1:0", ": port 0 cannot be connected to"),
+        ("http:///x", " names no host"),
+        ("HTTPS://", " names no host"),
+    ], ids=["port-out-of-range", "port-not-a-number", "port-zero", "no-host", "empty"])
+    def test_job_rejects_a_malformed_explorer_url(self, url, why):
+        with pytest.raises(ValueError) as raised:
+            FetchJob(ledger="ripple", start=0, end=1, source=url)
+        assert str(raised.value) == f"explorer URL {url!r}{why}"
 
 
 # a Ripple page of three transactions in the window, and a response serving it

@@ -353,6 +353,12 @@ class TestBulkConstruction:
         with pytest.raises(ValueError):
             DirectedGraph(2, [0], [1], labels=["a"])
 
+    @pytest.mark.parametrize("n", [2**40, 10**13])
+    def test_node_count_at_or_over_2_31_is_rejected_before_any_allocation(self, n):
+        # the arc heads are int32; before, 10**13 asked numpy for 72.8 TiB
+        with pytest.raises(ValueError, match=r"^node count must be in \[0, 2\*\*31\), got "):
+            DirectedGraph(n, [0], [1])
+
     def test_bulk_graph_reads_its_arrays_without_a_buffer(self):
         g = DirectedGraph(4, [0, 0, 1, 3, 2], [1, 1, 2, 3, 0])
         assert sorted(g.arcs()) == [(0, 1), (1, 2), (2, 0)]

@@ -720,6 +720,28 @@ class TestMetricsReport:
         build_metrics_report(multi_component_digraph(), plan)
         assert calls == {"_weak_labels": 1, "_strong_labels": 1}
 
+    @pytest.mark.parametrize("component", ["weak_main", "strong_main"])
+    def test_each_measured_graph_lists_its_projection_once(self, monkeypatch, component):
+        # degrees and clustering share one sort of the undirected edge keys
+        # min*n + max; before, the real graph's keys were sorted twice
+        sorted_keys = []
+
+        def counted(values):
+            sorted_keys.append(values.copy())
+            return distinct(values)
+
+        distinct = graph_module._distinct
+        for module in (graph_module, metrics):  # wherever a caller looks it up
+            monkeypatch.setattr(module, "_distinct", counted, raising=False)
+        g = multi_component_digraph()
+        plan = SamplePlan(fraction=1.0, component=component)
+        build_metrics_report(g, plan)
+        measured = [g] if component == "weak_main" else [g, g.component("strong")[0]]
+        for h in measured:
+            heads = h.fwd_indices.astype(np.int64)
+            keys = np.minimum(h.tails, heads) * h.n + np.maximum(h.tails, heads)
+            assert sum(np.array_equal(s, keys) for s in sorted_keys) == 1
+
     def test_strong_plan(self):
         g = graph_from([(0, 1), (1, 0), (1, 2)])
         report = build_metrics_report(g, SamplePlan(fraction=1.0, component="strong_main"))
