@@ -64,6 +64,15 @@ def _as_timestamp(value: object, what: str) -> int:
     raise PayloadError(f"{what} must be a timestamp, got {type(value).__name__}")
 
 
+def _row_time(tx: dict, key: str, block_time: Optional[int]) -> int:
+    """The row's time tx[key], or the block's when the row has none (a JSON
+    null is none, as in `_addresses`); PayloadError if neither is given."""
+    when = block_time if tx.get(key) is None else tx[key]
+    if when is None:
+        raise PayloadError(f"transaction has no {key} and no block time was given")
+    return _as_timestamp(when, key)
+
+
 def tx_hash(tx: dict, ledger: str) -> str:
     """The explorer's identity for one transaction row.
 
@@ -122,14 +131,11 @@ def parse_bitcoin_tx(
     senders, recipients = _addresses(tx, *inputs), _addresses(tx, *outputs)
     if not senders or not recipients:
         return None
-    when = tx.get("time", block_time)
-    if when is None:
-        raise PayloadError("transaction has no time and no block time was given")
     return TransactionRecord(
         ledger=ledger,
         senders=tuple(senders),
         recipients=tuple(recipients),
-        timestamp=_as_timestamp(when, "tx time"),
+        timestamp=_row_time(tx, "time", block_time),
         tx_kind="transfer",
     )
 
@@ -147,14 +153,11 @@ def parse_ethereum_tx(
     recipient = tx.get("to")
     if not recipient:
         return None
-    when = tx.get("timeStamp", block_time)
-    if when is None:
-        raise PayloadError("transaction has no timeStamp and no block time was given")
     return TransactionRecord(
         ledger=ledger,
         senders=(tx.get("from"),),
         recipients=(recipient,),
-        timestamp=_as_timestamp(when, "timeStamp"),
+        timestamp=_row_time(tx, "timeStamp", block_time),
         tx_kind=str(tx.get("type", "call")) if ledger == "ethereum_internal" else "transaction",
     )
 

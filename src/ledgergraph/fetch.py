@@ -106,7 +106,8 @@ def policy_from_env(env: Optional[dict] = None) -> BackoffPolicy:
 @dataclass(frozen=True)
 class FetchJob:
     """One retrieval task: a ledger, a [start, end) window, a source. An
-    explorer URL must name a host, and a port if any in 1-65535."""
+    explorer URL must name a host, and a port if any in 1-65535, and carry
+    no query or fragment."""
 
     ledger: str
     start: int
@@ -132,6 +133,8 @@ class FetchJob:
                 raise ValueError(f"explorer URL {self.source!r}: {exc}") from None
             if not parts.hostname:
                 raise ValueError(f"explorer URL {self.source!r} names no host")
+            if "?" in self.source or "#" in self.source:  # the endpoint path is appended
+                raise ValueError(f"explorer URL {self.source!r} carries a query or a fragment")
 
 
 def is_url(source: str) -> bool:
@@ -278,7 +281,7 @@ class RetryingClient:
     def _get(self, url: str, params: dict) -> tuple[int, str, bytes]:
         """(status, Retry-After, body) of one GET of `url` with `params`."""
         from urllib.parse import urlencode, urlsplit
-        parts = urlsplit(url)  # explorer URLs carry no query of their own
+        parts = urlsplit(url)  # FetchJob rejects an explorer URL with a query of its own
         target = (parts.path or "/") + ("?" + urlencode(params) if params else "")
         request = f"GET {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n{_HEADERS}\r\n".encode()
         key = (parts.scheme, parts.netloc)

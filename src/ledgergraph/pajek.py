@@ -13,8 +13,9 @@ of two 40-character hex strings. Only the subset we emit is supported:
     a b
 
 Files are UTF-8 with LF line endings. Arc lines are written sorted by (tail,
-head), so output is byte-stable for a given graph; `write_arc_keys` needs
-only the standard library. The reader parses an arc block laid out that way
+head), so output is byte-stable for a given graph; `write_arc_keys` renders
+each line straight from its int key tail << 32 | head and needs only the
+standard library. The reader parses an arc block laid out that way
 with numpy, once one regular expression has found no line out of that
 layout; the lines before it, and any other document, go through a line
 parser, which also names the first bad line of a malformed document.
@@ -24,16 +25,11 @@ from __future__ import annotations
 
 import io
 import re
-from array import array
-from itertools import repeat
-from operator import and_, rshift
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
     import numpy as np
     from .graph import DirectedGraph
-
-_LINE_CHUNK = 1 << 16  # arc endpoints rendered per string
 
 
 class PajekParseError(ValueError):
@@ -58,20 +54,19 @@ def write_pajek(graph: DirectedGraph, stream: IO[str], include_labels: bool = Fa
                    map(graph.address_of, range(graph.node_count)) if include_labels else None)
 
 
-def write_arc_keys(stream: IO[str], node_count: int, keys: Sequence[int],
+def write_arc_keys(stream: IO[str], node_count: int, keys: Iterable[int],
                    labels: Optional[Iterable[str]] = None) -> None:
     """Write `node_count` nodes, with `labels` as vertex lines if given, and
-    the arcs of the sorted keys tail << 32 | head (1-based vertex numbers)."""
+    one arc line per key tail << 32 | head (1-based vertex numbers), in the
+    order of `keys`, which should be sorted. Each line is rendered from its
+    key as it is written, so the writer holds no copy of the arcs."""
     stream.write(f"*Vertices {node_count}\n")
     for node, label in enumerate(labels or (), start=1):
         if '"' in label or "\n" in label or "\r" in label:
             raise ValueError(f"label {label!r} contains characters Pajek cannot quote")
         stream.write(f'{node} "{label}"\n')
     stream.write("*Arcs\n")
-    ends = array("q", bytes(16 * len(keys)))  # tail, head, tail, head, ...
-    ends[0::2] = array("q", map(rshift, keys, repeat(32)))
-    ends[1::2] = array("q", map(and_, keys, repeat(0xFFFFFFFF)))
-    stream.writelines(_arc_lines(ends))
+    stream.writelines(f"{key >> 32} {key & 0xFFFFFFFF}\n" for key in keys)
 
 
 def dumps(graph: DirectedGraph, include_labels: bool = False) -> str:
@@ -131,16 +126,8 @@ def _arc_ends(block: str, n: int) -> Optional[np.ndarray]:
     return ends if ends.max(initial=0) <= n else None  # a huge endpoint saturates
 
 
-# the start of any line that is not `<src> <dst>` in `_arc_lines`' layout
+# the start of any line that is not `<src> <dst>` in `write_arc_keys`' layout
 _NOT_ARC_LINE = re.compile(r"^(?![1-9][0-9]* [1-9][0-9]*$)", re.MULTILINE)
-
-
-def _arc_lines(ends: array) -> Iterator[str]:
-    """'<src> <dst>' lines for the endpoint pairs ends[0::2], ends[1::2], a
-    bounded number at a time, so few endpoints are Python ints at once."""
-    for start in range(0, len(ends), _LINE_CHUNK):
-        part = ends[start:start + _LINE_CHUNK].tolist()
-        yield ("%d %d\n" * (len(part) // 2)) % tuple(part)
 
 
 def _read_lines(stream: IO[str]) -> tuple[int, np.ndarray, Optional[list[str]]]:

@@ -434,6 +434,31 @@ def test_fetch_malformed_explorer_url_is_usage_error(tmp_path, capsys, monkeypat
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("route", ["source", "env", "config"])
+@pytest.mark.parametrize("suffix", ["/?net=main", "#frag"], ids=["query", "fragment"])
+def test_fetch_explorer_url_with_query_or_fragment_is_usage_error(tmp_path, capsys,
+                                                                  monkeypatch, suffix, route):
+    # the endpoint path would land in the query or fragment: a GET of `/`
+    out = tmp_path / "dump.ndjson"
+    argv = ["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+            "--out", str(out)]
+    monkeypatch.delenv("LEDGERGRAPH_RIPPLE_URL", raising=False)
+    with FixtureServer(interval_responder([])) as server:
+        url = server.url + suffix
+        if route == "source":
+            argv += ["--source", url]
+        elif route == "env":
+            monkeypatch.setenv("LEDGERGRAPH_RIPPLE_URL", url)
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"ripple": {"url": url}}))
+            argv += ["--config", str(config)]
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, server.requests) == (1, []) and not out.exists()
+    assert err == f"ledgergraph fetch: explorer URL {url!r} carries a query or a fragment\n"
+
+
 def test_fetch_malformed_explorer_response_exits_two(tmp_path, capsys):
     out = tmp_path / "dump.ndjson"
     with FixtureServer(lambda path, query: (200, {})) as server:  # no "height"

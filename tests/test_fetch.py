@@ -434,6 +434,19 @@ class TestBlockFetch:
         assert len(result.records) == 8
         assert all(len(r.senders) == 2 and len(r.recipients) == 1 for r in result.records)
 
+    @pytest.mark.parametrize("ledger, row, key", [
+        ("bitcoin", {"hash": "b", "inputs": [{"prev_out": {"addr": "1a"}}],
+                     "out": [{"addr": "1b"}]}, "time"),
+        ("ethereum", {"hash": "0xe", "from": "0xa", "to": "0xb"}, "timeStamp"),
+    ], ids=["bitcoin", "ethereum"])
+    def test_null_row_time_falls_back_to_the_block_time(self, ledger, row, key):
+        # JSON null is an absent time, not a reason to drop the block's time
+        with FixtureServer(block_responder([(T0 + 5, [{**row, key: None}])])) as server:
+            result = fetch_transactions(FetchJob(ledger=ledger, start=T0, end=T0 + DAY,
+                                                 source=server.url))
+        assert [r.timestamp for r in result.records] == [T0 + 5]
+        assert result.skipped_payloads == 0
+
     def test_coinbase_without_senders_skipped(self):
         coinbase = {"hash": "cb", "time": T0 + 5, "inputs": [{}],
                     "out": [{"addr": "1miner"}]}
@@ -663,7 +676,10 @@ class TestEndpointResolution:
         ("http://127.0.0.1:0", ": port 0 cannot be connected to"),
         ("http:///x", " names no host"),
         ("HTTPS://", " names no host"),
-    ], ids=["port-out-of-range", "port-not-a-number", "port-zero", "no-host", "empty"])
+        ("http://127.0.0.1:8080/?net=main", " carries a query or a fragment"),
+        ("http://127.0.0.1:8080/api#frag", " carries a query or a fragment"),
+    ], ids=["port-out-of-range", "port-not-a-number", "port-zero", "no-host", "empty",
+            "query", "fragment"])
     def test_job_rejects_a_malformed_explorer_url(self, url, why):
         with pytest.raises(ValueError) as raised:
             FetchJob(ledger="ripple", start=0, end=1, source=url)

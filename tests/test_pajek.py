@@ -1,4 +1,5 @@
 import io
+import os
 import random
 import tracemalloc
 
@@ -249,3 +250,17 @@ class TestReadPeak:
         held = sum(a.nbytes for a in (g.tails, g.fwd_indptr, g.fwd_indices,
                                       g.rev_indptr, g.rev_indices))
         assert peak / held < 2.20
+
+
+def test_arc_write_holds_no_copy_of_the_arcs():
+    # each line is rendered from its key as it is written, so the peak does
+    # not grow with the arc count
+    keys = [(i // 7 + 1) << 32 | (i % 100_000 + 1) for i in range(200_000)]
+    with open(os.devnull, "w", encoding="utf-8", newline="\n") as fh:
+        tracemalloc.start()
+        try:
+            pajek.write_arc_keys(fh, 100_000, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
