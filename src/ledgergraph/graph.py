@@ -19,10 +19,12 @@ strong ones by a degree mask, one forward-backward pass from the
 max-degree pivot (Hong, Rodia & Olukotun 2013) and an iterative Tarjan
 on the rest; a component's subgraph by a mask renumbered with `cumsum`,
 so its ids follow ascending original id exactly as `induced_subgraph`
-numbers them. A graph computes each component kind, and its undirected
-projection's distinct edges, once and keeps them, so one report finds
-each main component once and lists the projection once for degrees and
-clustering alike.
+numbers them. A graph computes each kind's component labels, and its
+undirected projection's distinct edges, once and keeps them, so one
+report labels each component kind once and lists the projection once for
+degrees and clustering alike. A component's subgraph is not kept: it is
+cut from the labels where it is measured, so no copy of it outlives the
+measurement.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class DirectedGraph:
     same arcs by (head, tail). Node ids are consecutive integers starting
     at 0. Nodes built from ledger records carry their address; synthetic
     graphs, components and unlabeled Pajek files keep no address table.
-    Component labels, component subgraphs and the undirected projection are
-    computed on first use and kept, so every metric run on one graph shares
-    them. Node ids must stay below 2**31: the arc heads are int32.
+    Component labels and the undirected projection are computed on first
+    use and kept, so every metric run on one graph shares them; a
+    component's subgraph is cut from the labels on each `component` call.
+    Node ids must stay below 2**31: the arc heads are int32.
     """
 
     def __init__(self, n: int = 0, src: Sequence[int] = _NO_ARCS, dst: Sequence[int] = _NO_ARCS,
@@ -88,7 +91,6 @@ class DirectedGraph:
         self.n, self.m = n, len(keys)
         self._addresses = None if labels is None else list(labels)
         self._labels: dict[str, np.ndarray] = {}
-        self._parts: dict[tuple[str, int], tuple[DirectedGraph, np.ndarray]] = {}
         # the steps below reuse the buffer of `keys`, so besides the stored
         # arrays one arc-length int64 array is alive (n > 0 if there are keys)
         self.tails = keys // n
@@ -164,13 +166,21 @@ class DirectedGraph:
     def component(self, kind: str,
                   label: Optional[int] = None) -> tuple[DirectedGraph, np.ndarray]:
         """Subgraph of one component (default: the main one) and the original
-        id of each of its nodes. New ids follow ascending original id."""
-        label = self.main_label(kind) if label is None else label
-        key = (kind, label)
-        if key not in self._parts:
-            mask = self.labels(kind) == label
-            self._parts[key] = (DirectedGraph(*_masked_arcs(self, mask)), np.flatnonzero(mask))
-        return self._parts[key]
+        id of each of its nodes. New ids follow ascending original id. The
+        cut is made anew on each call and not kept."""
+        mask = self.labels(kind) == (self.main_label(kind) if label is None else label)
+        return DirectedGraph(*_masked_arcs(self, mask)), np.flatnonzero(mask)
+
+
+def _node_ids(graph: DirectedGraph, nodes: Iterable[int]) -> np.ndarray:
+    """`nodes` as an int64 array. Every public function that takes node ids
+    raises ValueError naming the first id outside [0, n): a negative id
+    does not count from the end."""
+    ids = np.array(list(nodes))  # of dtype object if an id overflows int64
+    outside = (ids < 0) | (ids >= graph.n)
+    if outside.any():
+        raise ValueError(f"node id {ids[outside.argmax()]} is outside [0, {graph.n})")
+    return ids.astype(np.int64)
 
 
 def _masked_arcs(csr: DirectedGraph, mask: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -349,10 +359,10 @@ def induced_subgraph(
 
     Returns (subgraph, original_ids) where original_ids[new_id] is the node
     id in `graph`. New ids follow ascending original id, so the extraction
-    is deterministic.
+    is deterministic. An id outside [0, n) raises ValueError.
     """
-    original_ids = sorted(set(members))
     mask = np.zeros(graph.n, dtype=bool)
-    mask[original_ids] = True
+    mask[_node_ids(graph, members)] = True
+    original_ids = np.flatnonzero(mask).tolist()
     labels = [graph.address_of(v) for v in original_ids] if graph.has_labels() else None
     return DirectedGraph(*_masked_arcs(graph, mask), labels), original_ids

@@ -2,8 +2,11 @@
 
 Every metric reads the CSR arrays of a `graph.DirectedGraph`. The
 metrics `build_metrics_report` runs on one graph share the component
-labels, the main component's subgraph and the undirected projection,
-which the graph computes once and keeps.
+labels and the undirected projection, which the graph computes once and
+keeps. The main component's subgraph is cut from the labels where it is
+measured (ASPL, hub load, a strong component's clustering) and freed
+with that measurement; a weak main component's clustering and size come
+from the labels alone.
 
 - In- and out-degrees come from the row pointers; total degrees, and
   clustering, from the graph's list of its undirected projection's
@@ -69,7 +72,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import DirectedGraph, _arc_slots, _masked_arcs, _reach
+from .graph import DirectedGraph, _arc_slots, _masked_arcs, _node_ids, _reach
 
 log = logging.getLogger("ledgergraph")
 
@@ -170,20 +173,20 @@ def clustering_coefficient(graph: DirectedGraph, node: int) -> float:
     """Fraction of this node's neighbor pairs that are themselves linked.
 
     Neighbors are the distinct in- and out-neighbors, and linkage is checked
-    without orientation.
+    without orientation. An id outside [0, n) raises ValueError.
     """
-    return float(_local_clustering(graph)[node])
+    return float(_local_clustering(graph)[_node_ids(graph, [node])[0]])
 
 
 def average_clustering(graph: DirectedGraph, nodes: Optional[Iterable[int]] = None) -> float:
     """Mean clustering coefficient over `nodes` (default: every node).
 
     Nodes with fewer than two neighbors contribute 0 and stay in the
-    average.
+    average. An id outside [0, n) raises ValueError.
     """
     local = _local_clustering(graph)
     if nodes is not None:
-        local = local[np.fromiter(nodes, dtype=np.int64)]
+        local = local[_node_ids(graph, nodes)]
     return _ordered_mean(local)
 
 
@@ -514,12 +517,10 @@ def load_centrality(graph: DirectedGraph, nodes: Sequence[int], workers: int = 1
     of a star at exactly 1. Nodes in components smaller than 3 score 0.
     An id outside [0, n) raises ValueError.
     """
-    for v in nodes:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"node id {v} is outside [0, {graph.n})")
+    nodes = _node_ids(graph, nodes).tolist()
     labels = graph.labels("weak")
     out: dict[int, float] = {}
-    for label in set(labels[list(nodes)].tolist()):
+    for label in set(labels[nodes].tolist()):
         sub, original = graph.component("weak", label)
         cb = _betweenness(sub, workers)[0]  # all 0 below 3 nodes
         norm = max((sub.n - 1) * (sub.n - 2), 1)
@@ -593,11 +594,12 @@ def build_metrics_report(
         "strong_main": {"size": main_size["strong"], "fraction": main_size["strong"] / n},
     }
 
-    sub, original = graph.component(plan.kind)
     # a weak component keeps every neighbor of its nodes, a strong one may not
-    main_acc = _ordered_mean(local[original] if plan.kind == "weak" else _local_clustering(sub))
+    main_acc = _ordered_mean(local[graph.labels("weak") == graph.main_label("weak")]
+                             if plan.kind == "weak"
+                             else _local_clustering(graph.component("strong")[0]))
     aspl_value, pairs = aspl(graph, plan, workers=workers)
-    sample_size = plan.size(sub.n)
+    sample_size = plan.size(main_size[plan.kind])
 
     hub_ids = [v for v, _ in hist.max_hubs]
     loads = load_centrality(graph, hub_ids, workers=workers)

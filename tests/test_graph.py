@@ -276,6 +276,13 @@ class TestProjectionAndSubgraph:
         sub, original = induced_subgraph(g, {1, 2})
         assert [sub.address_of(i) for i in range(2)] == ["b", "c"]
 
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_induced_subgraph_rejects_an_id_outside_the_graph(self, node):
+        # -1 must not select node 3 while the id map still reads -1
+        g = DirectedGraph(4, [0, 1, 2, 2], [1, 2, 0, 3], ["a", "b", "c", "d"])
+        with pytest.raises(ValueError, match=rf"^node id {node} is outside \[0, 4\)$"):
+            induced_subgraph(g, [node, 0])
+
 
 def out_of(g, v):
     """Heads of v's arcs, read from the forward CSR slice."""

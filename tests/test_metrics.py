@@ -193,6 +193,16 @@ class TestClustering:
         g = graph_from([(0, 1), (1, 2), (2, 0), (3, 4)])
         assert average_clustering(g, nodes=[0, 1, 2]) == 1.0
 
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_id_outside_the_graph_is_rejected(self, node):
+        # -1 must not wrap around to node 3, whose clustering differs from node 0's
+        g = DirectedGraph(4, [0, 1, 2, 2], [1, 2, 0, 3])
+        message = rf"^node id {node} is outside \[0, 4\)$"
+        with pytest.raises(ValueError, match=message):
+            clustering_coefficient(g, node)
+        with pytest.raises(ValueError, match=message):
+            average_clustering(g, [0, node])
+
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_pair_scan_oracle_bit_for_bit(self, monkeypatch, seed):
@@ -747,3 +757,25 @@ class TestMetricsReport:
         report = build_metrics_report(g, SamplePlan(fraction=1.0, component="strong_main"))
         assert report.component_sizes["strong_main"]["size"] == 2
         assert report.main_component_aspl == 1.0
+
+    def test_a_report_keeps_no_component_cut_on_its_graph(self):
+        # the graph keeps its component labels and undirected edge list
+        # (0.87 of its arrays here) but no main component subgraph, which
+        # would hold about as many bytes again
+        g = random_digraph(100_000, 300_000, 1)
+        arrays = sum(getattr(g, name).nbytes for name in
+                     ("tails", "fwd_indptr", "fwd_indices", "rev_indptr", "rev_indices"))
+
+        def held_after(plan):
+            tracemalloc.start()
+            try:
+                report = build_metrics_report(g, plan, hub_count=0)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert report.sample_size > 0  # the report stays alive until measured
+            return held / arrays
+
+        assert held_after(SamplePlan(0.01, seed=1)) < 1.0
+        # the labels and the edge list are there already: nothing more stays
+        assert held_after(SamplePlan(0.01, seed=1, component="strong_main")) < 0.1
