@@ -544,16 +544,19 @@ def fetch_transactions(
     """Retrieve every transaction of `job.ledger` in [start, end).
 
     Local sources are dump files (undecodable lines are skipped and
-    counted). HTTP sources are paged or block-walked with `job.workers`
-    concurrent fetchers; the result is the same multiset of records for
-    any worker count. Raises FetchError (with the failed sub-ranges and
-    any partial result) when a range cannot be retrieved. An HTTP fetch,
-    failed or not, logs its retries and the seconds its fetchers paused.
+    counted); a dump's records of other ledgers are left out, and their
+    count is logged. HTTP sources are paged or block-walked with
+    `job.workers` concurrent fetchers; the result is the same multiset of
+    records for any worker count. Raises FetchError (with the failed
+    sub-ranges and any partial result) when a range cannot be retrieved.
+    An HTTP fetch, failed or not, logs its retries and the seconds its
+    fetchers paused.
     """
     if not is_url(job.source):
         with open(job.source, encoding="utf-8") as fh:
             records, skipped = read_dump_lenient(fh)
-        kept = [r for r in records if job.start <= r.timestamp < job.end]
+        kept = [r for r in records if r.ledger == job.ledger and job.start <= r.timestamp < job.end]
+        log.info("%d other-ledger record(s) left out", sum(r.ledger != job.ledger for r in records))
         return FetchResult(records=kept, skipped_payloads=skipped)
 
     policy = policy or policy_from_env()

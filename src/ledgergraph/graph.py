@@ -22,9 +22,10 @@ so its ids follow ascending original id exactly as `induced_subgraph`
 numbers them. A graph computes each kind's component labels, and its
 undirected projection's distinct edges, once and keeps them, so one
 report labels each component kind once and lists the projection once for
-degrees and clustering alike. A component's subgraph is not kept: it is
-cut from the labels where it is measured, so no copy of it outlives the
-measurement.
+degrees and clustering alike. ASPL reads its main component as the label
+mask and prunes through it on the graph itself; only hub load and a
+strong component's clustering cut a component's subgraph, which is not
+kept, so no copy of it outlives the measurement.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class DirectedGraph:
     Component labels and the undirected projection are computed on first
     use and kept, so every metric run on one graph shares them; a
     component's subgraph is cut from the labels on each `component` call.
+    Only hub load and a strong component's clustering make that call;
+    ASPL prunes through the label mask on the graph itself.
     Node ids must stay below 2**31: the arc heads are int32.
     """
 

@@ -3,10 +3,11 @@
 Every metric reads the CSR arrays of a `graph.DirectedGraph`. The
 metrics `build_metrics_report` runs on one graph share the component
 labels and the undirected projection, which the graph computes once and
-keeps. The main component's subgraph is cut from the labels where it is
-measured (ASPL, hub load, a strong component's clustering) and freed
-with that measurement; a weak main component's clustering and size come
-from the labels alone.
+keeps. ASPL reads the main component as the label mask and prunes
+through it on the graph itself, so its pruned cut is its only graph
+copy. Only hub load and a strong component's clustering cut a component
+out, where they measure it, and free it with that measurement; a weak
+main component's clustering and size come from the labels alone.
 
 - In- and out-degrees come from the row pointers; total degrees, and
   clustering, from the graph's list of its undirected projection's
@@ -23,10 +24,12 @@ from the labels alone.
   reverse arcs. Both directions set the same bits. Distances are summed
   as exact integers, so a fraction-1 run reproduces the brute-force
   all-pairs average bit for bit, whatever the batch makeup. It runs only
-  on the nodes reached from the sample that reach it back: no others lie
-  on a shortest path between two sampled nodes. Only the sampled nodes
-  with an out-arc there are swept as sources: a sink's lane never leaves
-  its node, so it adds no distance and no pair, but it stays a target.
+  on the nodes of the main component's mask reached from the sample that
+  reach it back: no others lie on a shortest path between two sampled
+  nodes, since such a path never leaves their weak or strong component.
+  Only the sampled nodes with an out-arc there are swept as sources: a
+  sink's lane never leaves its node, so it adds no distance and no pair,
+  but it stays a target.
   Each `aspl` call logs the sources swept and the sinks skipped. The
   kept nodes are renumbered by descending in-degree, so the j-th
   in-arcs of all nodes that have one form a prefix, a jagged diagonal
@@ -220,7 +223,7 @@ class SamplePlan:
 
     @property
     def kind(self) -> str:
-        """The `DirectedGraph.component` kind of `component`: weak or strong."""
+        """The `DirectedGraph.labels` kind of `component`: weak or strong."""
         return "weak" if self.component == "weak_main" else "strong"
 
     def size(self, n: int) -> int:
@@ -236,16 +239,20 @@ def _sample_nodes(n: int, plan: SamplePlan) -> np.ndarray:
     return np.sort(rng.choice(n, size=size, replace=False))
 
 
-def _in_degree_order(sub: DirectedGraph, keep: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
-    """Subgraph on the nodes `keep` selects, renumbered by descending
-    in-degree within it (ties: ascending id), and each old node's new id
-    (meaningless for a node not kept)."""
-    n, tails, heads = _masked_arcs(sub, keep)  # ids in ascending old id
+def _in_degree_order(graph: DirectedGraph, main: np.ndarray,
+                     sample: np.ndarray) -> tuple[DirectedGraph, np.ndarray]:
+    """Subgraph on the nodes of the mask `main` that are reached from
+    `sample` and reach it back, renumbered by descending in-degree within
+    it (ties: ascending id), and the new ids of `sample`. Only those nodes
+    lie on a path between two sampled nodes of one component."""
+    keep = (main & _reach(graph.fwd_indptr, graph.fwd_indices, sample)
+            & _reach(graph.rev_indptr, graph.rev_indices, sample))
+    n, tails, heads = _masked_arcs(graph, keep)  # ids in ascending old id
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(-np.bincount(heads, minlength=n), kind="stable")] = np.arange(n)
-    new_id = np.zeros(sub.n, dtype=np.int64)
-    new_id[keep] = rank
-    return DirectedGraph(n, rank[tails], rank[heads]), new_id
+    new_id = np.zeros(graph.n, dtype=np.int64)
+    new_id[keep] = rank  # every sampled node is kept
+    return DirectedGraph(n, rank[tails], rank[heads]), new_id[sample]
 
 
 def _diagonal_pull(csr: DirectedGraph) -> Callable[[np.ndarray], np.ndarray]:
@@ -327,23 +334,21 @@ def aspl(graph: DirectedGraph, plan: SamplePlan, workers: int = 1) -> tuple[floa
     BFS distance over ordered pairs (s, t) within the sample, skipping
     unreachable pairs. Returns (aspl, ordered pairs averaged).
     """
-    sub, _ = graph.component(plan.kind)
-    if plan.treat_as_undirected:
-        sub = sub.symmetric()
-    n = sub.n
+    # the main component as a mask: its ascending ids are the nodes a cut
+    # would number 0..n-1, and no path between two of them leaves it
+    main = graph.labels(plan.kind) == graph.main_label(plan.kind)
+    n = int(np.count_nonzero(main))
     if n < 2:
         raise ValueError(f"{plan.component} has {n} node(s); nothing to average paths over")
-    sample = _sample_nodes(n, plan)
+    sample = np.flatnonzero(main)[_sample_nodes(n, plan)]
     if len(sample) < 2:
         raise ValueError(
             f"sample of {len(sample)} node(s) from a {n}-node component "
             "cannot form an ordered pair; raise the fraction"
         )
-    # only nodes reached from the sample that reach it lie on its paths
-    keep = (_reach(sub.fwd_indptr, sub.fwd_indices, sample)
-            & _reach(sub.rev_indptr, sub.rev_indices, sample))
-    sub, new_id = _in_degree_order(sub, keep)
-    sample = new_id[sample]
+    # the symmetric closure, if any, is freed once the pruned cut is made
+    sub, sample = _in_degree_order(graph.symmetric() if plan.treat_as_undirected else graph,
+                                   main, sample)
     pull = _diagonal_pull(sub)
     out_deg = np.diff(sub.fwd_indptr)
     # a sink's lane never leaves its node; it stays a target

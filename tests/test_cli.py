@@ -10,7 +10,7 @@ import pytest
 import ledgergraph
 from ledgergraph.cli import build_arg_parser, main
 from ledgergraph.pajek import dumps as pajek_dumps
-from ledgergraph.records import TransactionRecord, write_dump
+from ledgergraph.records import TransactionRecord, read_dump, write_dump
 
 from fixture_server import FixtureServer, flaky, interval_responder
 from synth import random_digraph, watts_strogatz
@@ -521,6 +521,22 @@ def test_fetch_local_file_rewindow(tmp_path, capsys):
                  "--out", str(out), "--in", str(dump)])
     assert code == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+def test_fetch_local_file_keeps_only_the_ledger(tmp_path, capsys, caplog):
+    dump = tmp_path / "mixed.ndjson"
+    ripple = write_fixture_dump(dump, count=6)
+    with open(dump, "a") as fh:
+        write_dump([TransactionRecord("bitcoin", ("1a",), ("1b",), T0 + 3)], fh)
+    out = tmp_path / "window.ndjson"
+    with caplog.at_level("INFO", logger="ledgergraph"):
+        code = main(["fetch", "--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02",
+                     "--out", str(out), "--in", str(dump)])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == "6"
+    assert "1 other-ledger record(s) left out" in caplog.messages
+    with open(out) as fh:
+        assert list(read_dump(fh)) == ripple
 
 
 def test_fetch_source_and_in_together_is_usage_error(tmp_path, capsys):

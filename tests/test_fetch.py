@@ -650,6 +650,23 @@ class TestLocalSource:
         job = FetchJob(ledger="ripple", start=T0 + 1, end=T0 + 2, source=str(path))
         assert fetch_transactions(job).records == []
 
+    def test_only_the_job_ledger_is_kept(self, tmp_path, caplog):
+        records = [
+            TransactionRecord("ripple", ("rA",), ("rB",), T0, "Payment"),
+            TransactionRecord("bitcoin", ("1a",), ("1b", "1c"), T0 + 1),
+            TransactionRecord("ripple", ("rB",), ("rC",), T0 + 2, "Payment"),
+            TransactionRecord("bitcoin", ("1b",), ("1a",), T0 + DAY),  # outside the window
+        ]
+        path = tmp_path / "mixed.ndjson"
+        with open(path, "w") as fh:
+            write_dump(records, fh)
+        for ledger, kept in (("bitcoin", [records[1]]), ("ripple", records[::2])):
+            caplog.clear()
+            job = FetchJob(ledger=ledger, start=T0, end=T0 + DAY, source=str(path))
+            with caplog.at_level("INFO", logger="ledgergraph"):
+                assert fetch_transactions(job).records == kept
+            assert caplog.messages == ["2 other-ledger record(s) left out"]
+
 
 class TestEndpointResolution:
     def test_precedence(self):

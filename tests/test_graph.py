@@ -409,7 +409,7 @@ def derived(name):
         "symmetric": g.symmetric,
         "undirected_projection": lambda: undirected_projection(g),
         "induced_subgraph": lambda: induced_subgraph(g, range(0, g.n, 2))[0],
-        "in_degree_order": lambda: _in_degree_order(g, keep)[0],
+        "in_degree_order": lambda: _in_degree_order(g, keep, np.flatnonzero(keep))[0],
     }[name]()
 
 
