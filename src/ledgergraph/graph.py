@@ -22,10 +22,10 @@ so its ids follow ascending original id exactly as `induced_subgraph`
 numbers them. A graph computes each kind's component labels, and its
 undirected projection's distinct edges, once and keeps them, so one
 report labels each component kind once and lists the projection once for
-degrees and clustering alike. ASPL reads its main component as the label
-mask and prunes through it on the graph itself; only hub load and a
-strong component's clustering cut a component's subgraph, which is not
-kept, so no copy of it outlives the measurement.
+degrees and clustering alike. ASPL and a strong main component's
+clustering read that component as the label mask on the graph itself;
+only hub load cuts a component's subgraph, which is not kept, so no copy
+of it outlives the measurement.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class DirectedGraph:
     Component labels and the undirected projection are computed on first
     use and kept, so every metric run on one graph shares them; a
     component's subgraph is cut from the labels on each `component` call.
-    Only hub load and a strong component's clustering make that call;
-    ASPL prunes through the label mask on the graph itself.
+    Only hub load makes that call; ASPL and a strong main component's
+    clustering read the label mask on the graph itself.
     Node ids must stay below 2**31: the arc heads are int32.
     """
 
@@ -150,7 +150,7 @@ class DirectedGraph:
         n = self.n
         heads = self.fwd_indices.astype(np.int64)
         edges = _distinct(np.minimum(self.tails, heads) * n + np.maximum(self.tails, heads))
-        return edges, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
+        return _with_degrees(edges, n)
 
     def labels(self, kind: str) -> np.ndarray:
         """Component of every node, named by its lowest node id."""
@@ -170,9 +170,16 @@ class DirectedGraph:
                   label: Optional[int] = None) -> tuple[DirectedGraph, np.ndarray]:
         """Subgraph of one component (default: the main one) and the original
         id of each of its nodes. New ids follow ascending original id. The
-        cut is made anew on each call and not kept."""
+        cut is made anew on each call and not kept; hub load is the one
+        metric that makes it."""
         mask = self.labels(kind) == (self.main_label(kind) if label is None else label)
         return DirectedGraph(*_masked_arcs(self, mask)), np.flatnonzero(mask)
+
+
+def _with_degrees(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The undirected edge keys a*n + b, and each node's degree over them:
+    its distinct neighbours there, so a mutual pair counts once."""
+    return edges, np.bincount(edges // n, minlength=n) + np.bincount(edges % n, minlength=n)
 
 
 def _node_ids(graph: DirectedGraph, nodes: Iterable[int]) -> np.ndarray:

@@ -5,9 +5,10 @@ metrics `build_metrics_report` runs on one graph share the component
 labels and the undirected projection, which the graph computes once and
 keeps. ASPL reads the main component as the label mask and prunes
 through it on the graph itself, so its pruned cut is its only graph
-copy. Only hub load and a strong component's clustering cut a component
-out, where they measure it, and free it with that measurement; a weak
-main component's clustering and size come from the labels alone.
+copy. A strong main component's clustering counts the projection's
+edges within that mask; a weak one's reuses the graph's per-node values,
+and either size comes from the labels alone. Only hub load cuts a
+component out, where it measures it, and frees it with that measurement.
 
 - In- and out-degrees come from the row pointers; total degrees, and
   clustering, from the graph's list of its undirected projection's
@@ -75,7 +76,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import _run_ordered
-from .graph import DirectedGraph, _arc_slots, _masked_arcs, _node_ids, _reach
+from .graph import DirectedGraph, _arc_slots, _masked_arcs, _node_ids, _reach, _with_degrees
 
 log = logging.getLogger("ledgergraph")
 
@@ -131,7 +132,7 @@ def histogram_lines(table: dict[int, int]) -> str:
 # clustering
 
 
-def _local_clustering(csr: DirectedGraph) -> np.ndarray:
+def _local_clustering(csr: DirectedGraph, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """Clustering coefficient of every node, by degree-ordered triangle
     listing (Latapy 2008) on the undirected simple projection: each edge
     points from its lower (degree, id) end to the higher one, so a triangle
@@ -139,9 +140,16 @@ def _local_clustering(csr: DirectedGraph) -> np.ndarray:
     over sqrt(2m) out-edges. Each node's triangles are counted, and twice
     that count is divided once by k(k-1). Wedges are checked _WEDGE_CHUNK
     at a time.
+
+    With a node `mask`, only the projection's edges with both ends in it
+    count, so the values on the mask are those of the subgraph it induces,
+    bit for bit as on a cut of it (a cut keeps the nodes' id order), and
+    every node outside it reads 0.
     """
     n = csr.n
     edges, deg = csr.undirected_edges
+    if mask is not None:
+        edges, deg = _with_degrees(edges[mask[edges // n] & mask[edges % n]], n)
     a, b = edges // n, edges % n  # a < b
     flip = deg[a] > deg[b]
     low, high = np.where(flip, b, a), np.where(flip, a, b)
@@ -227,8 +235,11 @@ class SamplePlan:
         return "weak" if self.component == "weak_main" else "strong"
 
     def size(self, n: int) -> int:
-        """Nodes sampled from an n-node component: ceil(fraction * n)."""
-        return math.ceil(self.fraction * n)
+        """Nodes sampled from an n-node component: ceil(fraction * n). A
+        product one ulp above a whole number k (0.07 * 100 is
+        7.000000000000001) is k when k / n is the fraction itself."""
+        size = math.ceil(self.fraction * n)
+        return size - 1 if size and (size - 1) / n == self.fraction else size
 
 
 def _sample_nodes(n: int, plan: SamplePlan) -> np.ndarray:
@@ -599,10 +610,11 @@ def build_metrics_report(
         "strong_main": {"size": main_size["strong"], "fraction": main_size["strong"] / n},
     }
 
+    main = graph.labels(plan.kind) == graph.main_label(plan.kind)
     # a weak component keeps every neighbor of its nodes, a strong one may not
-    main_acc = _ordered_mean(local[graph.labels("weak") == graph.main_label("weak")]
-                             if plan.kind == "weak"
-                             else _local_clustering(graph.component("strong")[0]))
+    if plan.kind == "strong":
+        local = _local_clustering(graph, main)
+    main_acc = _ordered_mean(local[main])
     aspl_value, pairs = aspl(graph, plan, workers=workers)
     sample_size = plan.size(main_size[plan.kind])
 

@@ -167,20 +167,21 @@ def small_world_compare(
     workers: int = 1,
     edge_reuse_ratio: Optional[float] = None,
 ) -> SmallWorldReport:
-    """Measure `real`, draw its size-matched random twin, measure that with
-    the same sampling plan, and combine the ratios into sigma.
+    """Draw the size-matched random twin of `real`, measure it with the
+    same sampling plan, then measure `real`, and combine the ratios into
+    sigma.
 
-    Sigma reads only the twin's clustering and ASPL, so the twin gets no
-    hub load: its report's `hub_load` is empty. Each phase (real metrics,
-    random generation, random metrics) logs its time through
+    The twin is drawn from `real`'s node and arc counts alone and dropped
+    once measured, so only one graph's analysis state (its component
+    labels, undirected edge list, cuts) is alive at a time; a `real` that
+    cannot be measured therefore fails after its twin was measured. Sigma
+    reads only the twin's clustering and ASPL, so the twin gets no hub
+    load: its report's `hub_load` is empty. Each phase (random generation,
+    random metrics, real metrics) logs its time through
     `ledgergraph._stage`."""
     if real.node_count == 0:
         raise ValueError("cannot compare an empty graph")
 
-    with _stage("real metrics"):
-        real_metrics = build_metrics_report(
-            real, plan, hub_count=hub_count, workers=workers, edge_reuse_ratio=edge_reuse_ratio
-        )
     with _stage("random generation"):
         random_graph = erdos_renyi(RandomGraphSpec(
             node_count=real.node_count, edge_count=real.arc_count, seed=seed))
@@ -191,20 +192,16 @@ def small_world_compare(
             random_metrics = acc_ratio = aspl_ratio = sigma = None
             reason = f"random graph is degenerate: {exc}"
             undefined = {"aspl_ratio": reason, "acc_ratio": reason, "sigma": "needs both ratios"}
-        else:
-            acc_ratio, aspl_ratio, sigma, undefined = ratios_and_sigma(
-                real_metrics.graph_acc,
-                random_metrics.graph_acc,
-                real_metrics.main_component_aspl,
-                random_metrics.main_component_aspl,
-            )
+    del random_graph
+    with _stage("real metrics"):
+        real_metrics = build_metrics_report(real, plan, hub_count=hub_count, workers=workers,
+                                            edge_reuse_ratio=edge_reuse_ratio)
+    if random_metrics is not None:
+        acc_ratio, aspl_ratio, sigma, undefined = ratios_and_sigma(
+            real_metrics.graph_acc, random_metrics.graph_acc,
+            real_metrics.main_component_aspl, random_metrics.main_component_aspl)
 
     return SmallWorldReport(
-        real_metrics=real_metrics,
-        random_metrics=random_metrics,
-        acc_ratio=acc_ratio,
-        aspl_ratio=aspl_ratio,
-        sigma=sigma,
-        undefined=undefined,
-        seeds={"random_graph": seed, "sample": plan.seed},
-    )
+        real_metrics=real_metrics, random_metrics=random_metrics, acc_ratio=acc_ratio,
+        aspl_ratio=aspl_ratio, sigma=sigma, undefined=undefined,
+        seeds={"random_graph": seed, "sample": plan.seed})

@@ -122,6 +122,18 @@ def test_metrics_takes_the_projection_and_the_cut_from_the_graph():
     assert found == []
 
 
+def test_only_hub_load_cuts_a_component():
+    # ASPL and a strong main component's clustering read the label mask on
+    # the graph itself; `DirectedGraph.component` is called by hub load alone
+    found = []
+    for path in sorted((ROOT / "src" / "ledgergraph").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [f"{path.name}:{getattr(top, 'name', node.lineno)}"
+                      for node in ast.walk(top) if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute) and node.func.attr == "component"]
+    assert found == ["metrics.py:load_centrality"]
+
+
 _HTTP_LIBRARIES = ("http.client", "urllib.request", "requests")
 
 

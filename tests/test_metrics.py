@@ -4,6 +4,7 @@ from collections import Counter
 import json
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -216,6 +217,29 @@ class TestClustering:
         for value in expected:  # left to right, as the removed loop added
             total += value
         assert average_clustering(g) == total / n
+
+    @pytest.mark.parametrize("make", [
+        multi_component_digraph,
+        # a mutual triangle whose nodes also close triangles with 3 and 4,
+        # which it reaches or is reached from but not both
+        lambda: graph_from([(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2),
+                            (0, 3), (1, 3), (4, 1), (4, 2), (3, 5), (5, 3)]),
+        lambda: graph_from([(0, 1), (1, 2), (0, 2), (2, 3)]),  # every strong component is one node
+        *(lambda seed=seed: random_digraph(150, 260, seed) for seed in range(4)),
+        *(lambda seed=seed: digraph_with_dead_ends(seed) for seed in range(2)),
+    ], ids=["multi_component", "neighbours_outside", "one_node",
+            *(f"random{seed}" for seed in range(4)), *(f"dead_ends{seed}" for seed in range(2))])
+    def test_strong_main_clustering_through_its_mask_equals_the_cut(self, monkeypatch, make):
+        monkeypatch.setattr(metrics, "_WEDGE_CHUNK", 5)  # many wedge chunks
+        g = make()
+        main = g.labels("strong") == g.main_label("strong")
+        through_mask = metrics._local_clustering(g, main)
+        cut = metrics._local_clustering(g.component("strong")[0])
+        assert through_mask[main].tobytes() == cut.tobytes()
+        assert not through_mask[~main].any()
+        if main.sum() >= 2:
+            report = build_metrics_report(g, SamplePlan(1.0, component="strong_main"), hub_count=0)
+            assert report.main_component_acc == metrics._ordered_mean(cut)
 
     def test_matches_networkx_at_scale(self):
         nx = pytest.importorskip("networkx")
@@ -466,6 +490,21 @@ class TestAspl:
     def test_negative_seed_is_named(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             SamplePlan(seed=-1)
+
+    @pytest.mark.parametrize("fraction, n, size", [
+        (0.07, 100, 7),  # 0.07 * 100 is 7.000000000000001
+        (0.07, 101, 8), (0.07, 1, 1), (0.1, 10, 1), (0.1, 11, 2), (0.01, 100, 1),
+        (0.25, 4, 1), (0.5, 3, 2), (1.0, 7, 7), (0.3, 10, 3), (0.2, 5, 1)])
+    def test_size_is_the_ceiling_of_the_decimal_product(self, fraction, n, size):
+        assert SamplePlan(fraction).size(n) == size
+
+    def test_size_matches_exact_decimal_arithmetic(self):
+        from fractions import Fraction
+        for fraction in (0.07, 0.01, 0.1, 0.3, 0.123, 0.5, 1.0):
+            exact = Fraction(repr(fraction))
+            plan = SamplePlan(fraction)
+            assert all(plan.size(n) == -(-exact.numerator * n // exact.denominator)
+                       for n in range(1, 20_000))
 
     def test_sampled_estimate_is_close_on_small_world(self):
         g = watts_strogatz(1500, 8, 0.1, seed=4)
@@ -775,11 +814,14 @@ class TestMetricsReport:
     @pytest.mark.parametrize("component", ["weak_main", "strong_main"])
     def test_each_measured_graph_lists_its_projection_once(self, monkeypatch, component):
         # degrees and clustering share one sort of the undirected edge keys
-        # min*n + max; before, the real graph's keys were sorted twice
-        sorted_keys = []
+        # min*n + max; before, the real graph's keys were sorted twice, and
+        # a strong plan sorted its main component's cut's keys as well
+        sorted_keys, projections = [], []
 
         def counted(values):
             sorted_keys.append(values.copy())
+            if sys._getframe(1).f_code.co_name == "undirected_edges":
+                projections.append(sorted_keys[-1])
             return distinct(values)
 
         distinct = graph_module._distinct
@@ -788,11 +830,10 @@ class TestMetricsReport:
         g = multi_component_digraph()
         plan = SamplePlan(fraction=1.0, component=component)
         build_metrics_report(g, plan)
-        measured = [g] if component == "weak_main" else [g, g.component("strong")[0]]
-        for h in measured:
-            heads = h.fwd_indices.astype(np.int64)
-            keys = np.minimum(h.tails, heads) * h.n + np.maximum(h.tails, heads)
-            assert sum(np.array_equal(s, keys) for s in sorted_keys) == 1
+        heads = g.fwd_indices.astype(np.int64)
+        keys = np.minimum(g.tails, heads) * g.n + np.maximum(g.tails, heads)
+        assert sum(np.array_equal(s, keys) for s in sorted_keys) == 1
+        assert len(projections) == 1 and np.array_equal(projections[0], keys)
 
     def test_strong_plan(self):
         g = graph_from([(0, 1), (1, 0), (1, 2)])

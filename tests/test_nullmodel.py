@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import weakref
+from contextlib import nullcontext
 
 import pytest
 
@@ -156,6 +158,40 @@ class TestCompare:
         assert report.random_metrics.edge_reuse_ratio == twins[0].edge_reuse_ratio() == 0.0
         assert report.random_metrics.graph_acc == build_metrics_report(
             twins[0], SamplePlan(fraction=1.0), hub_count=0).graph_acc
+
+    def test_one_graph_is_measured_at_a_time(self, monkeypatch):
+        # the twin is measured before the real graph has any analysis state,
+        # and is gone before the real graph is measured
+        from ledgergraph import nullmodel
+        g = watts_strogatz(200, 4, 0.1, seed=2)
+        measured = []
+
+        def spy(graph, *args, **kwargs):
+            if not measured:  # the twin
+                assert graph is not g
+                assert g._labels == {} and "undirected_edges" not in vars(g)
+            else:
+                assert graph is g and measured[0]() is None
+            measured.append(weakref.ref(graph))
+            return build_metrics_report(graph, *args, **kwargs)
+
+        monkeypatch.setattr(nullmodel, "build_metrics_report", spy)
+        plan = SamplePlan(fraction=0.5, seed=1)
+        report = small_world_compare(g, plan, seed=5)
+        assert len(measured) == 2
+        # the same numbers as each graph measured on its own
+        twin = erdos_renyi(RandomGraphSpec(node_count=200, edge_count=g.arc_count, seed=5))
+        for got, graph, hubs in ((report.random_metrics, twin, 0), (report.real_metrics, g, 10)):
+            assert got.to_json_dict() == build_metrics_report(graph, plan, hubs).to_json_dict()
+
+    def test_a_real_graph_that_cannot_be_measured_fails_after_its_twin(self, monkeypatch):
+        from ledgergraph import nullmodel
+        stages = []
+        monkeypatch.setattr(nullmodel, "_stage", lambda name: stages.append(name) or nullcontext())
+        g = DirectedGraph(3, [0, 1], [1, 2])  # a path: its strong main component is one node
+        with pytest.raises(ValueError, match="strong_main has 1 node"):
+            small_world_compare(g, SamplePlan(fraction=1.0, component="strong_main"))
+        assert stages == ["random generation", "random metrics", "real metrics"]
 
     def test_small_world_graph_scores_high(self):
         g = watts_strogatz(1000, 10, 0.1, seed=3)
