@@ -224,7 +224,7 @@ class _Connection:
         elif coding is not None and coding.rpartition(",")[2].strip().lower() == "chunked":
             body = self._chunked()
         elif coding is None and length is not None:
-            if not length.isdigit():
+            if not (length.isascii() and length.isdigit()):  # "²" is a digit to isdigit
                 raise ValueError(f"malformed Content-Length {length!r}")
             body = self._read(int(length))
         else:
@@ -331,7 +331,7 @@ class RetryingClient:
                 if retries >= self.policy.max_retries:
                     state = "rate-limited" if status == 429 else f"answering HTTP {status}"
                     raise FetchError(f"{url} still {state} after {retries} retries")
-                if wait.isdigit():  # delta-seconds; an HTTP-date keeps the schedule
+                if wait.isascii() and wait.isdigit():  # delta-seconds; a date keeps the schedule
                     pause = min(max(delay, float(wait)), self.policy.cap)
             self.pauses.append(pause)
             self.sleep(pause)

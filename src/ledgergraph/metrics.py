@@ -150,12 +150,13 @@ def _local_clustering(csr: DirectedGraph, mask: Optional[np.ndarray] = None) -> 
     edges, deg = csr.undirected_edges
     if mask is not None:
         edges, deg = _with_degrees(edges[mask[edges // n] & mask[edges % n]], n)
-    a, b = edges // n, edges % n  # a < b
-    flip = deg[a] > deg[b]
-    low, high = np.where(flip, b, a), np.where(flip, a, b)
-    eid = np.argsort(low, kind="stable")  # edge at each out-list slot
-    low, high = low[eid], high[eid]
-    later = np.cumsum(np.bincount(low, minlength=n))[low] - np.arange(len(eid)) - 1
+    low, high = edges // n, edges % n  # by id
+    # each edge as the key low * n + high from its lower (degree, id) end;
+    # sorted, every node's out-edges lie together with their high ends ascending
+    low = np.where(deg[low] > deg[high], high * n + low, edges)
+    low.sort()
+    low, high = np.divmod(low, n)
+    later = np.cumsum(np.bincount(low, minlength=n))[low] - np.arange(len(low)) - 1
     ends = np.cumsum(later)  # slot e pairs with its later slots as wedges [ends - later, ends)
     triangles = np.zeros(n, dtype=np.int64)
     wedges = int(later.sum())
@@ -163,8 +164,7 @@ def _local_clustering(csr: DirectedGraph, mask: Optional[np.ndarray] = None) -> 
         w = np.arange(start, min(start + _WEDGE_CHUNK, wedges))
         e1 = np.searchsorted(ends, w, side="right")
         e2 = e1 + 1 + w - ends[e1] + later[e1]
-        x, y = high[e1], high[e2]
-        key = np.minimum(x, y) * n + np.maximum(x, y)
+        key = high[e1] * n + high[e2]  # e1 < e2, so high[e1] < high[e2]
         pos = np.minimum(np.searchsorted(edges, key), len(edges) - 1)
         tri = edges[pos] == key
         e1, e2 = e1[tri], e2[tri]
@@ -259,11 +259,10 @@ def _in_degree_order(graph: DirectedGraph, main: np.ndarray,
     keep = (main & _reach(graph.fwd_indptr, graph.fwd_indices, sample)
             & _reach(graph.rev_indptr, graph.rev_indices, sample))
     n, tails, heads = _masked_arcs(graph, keep)  # ids in ascending old id
-    rank = np.empty(n, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int32)  # int32, like the cut's own ids
     rank[np.argsort(-np.bincount(heads, minlength=n), kind="stable")] = np.arange(n)
-    new_id = np.zeros(graph.n, dtype=np.int64)
-    new_id[keep] = rank  # every sampled node is kept
-    return DirectedGraph(n, rank[tails], rank[heads]), new_id[sample]
+    # every sampled node is kept: its place among the kept nodes is their count up to it, less 1
+    return DirectedGraph(n, rank[tails], rank[heads]), rank[np.cumsum(keep)[sample] - 1]
 
 
 def _diagonal_pull(csr: DirectedGraph) -> Callable[[np.ndarray], np.ndarray]:

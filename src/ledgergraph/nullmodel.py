@@ -71,35 +71,33 @@ def erdos_renyi(spec: RandomGraphSpec) -> DirectedGraph:
     if n < 2 or p == 0.0:
         return DirectedGraph(n)
     if spec.edge_count is not None:
-        # each batch keeps, in batch order, the first sighting of every pair
-        # that is neither a self-loop nor already chosen, up to m pairs
+        # the kept pairs are the first m distinct non-loop pairs drawn: each
+        # batch joins them, and a pair drawn again counts at its first sighting
         m = spec.edge_count
-        keys = np.empty(0, dtype=np.int64)  # u*n + v, in draw order
+        keys = np.empty(0, dtype=np.int64)  # u*n + v, ascending
         while len(keys) < m:
             batch = max(256, int((m - len(keys)) * 1.3))
             a = rng.integers(0, n, size=batch)
             b = rng.integers(0, n, size=batch)
-            a, b = a[a != b], b[a != b]
-            new = a * n + b
-            new = new[np.sort(np.unique(new, return_index=True)[1])]
-            keys = np.concatenate((keys, new[~np.isin(new, keys)][: m - len(keys)]))
+            # a stable sort of an ascending run plus one batch is a merge
+            keys, first = np.unique(np.concatenate((keys, (a * n + b)[a != b])), return_index=True)
+            if len(keys) > m:  # the kept ones come first, then the batch's in draw order
+                keys = keys[first <= np.partition(first, m - 1)[m - 1]]
         src, dst = keys // n, keys % n
     else:
         assert p is not None
         total = spec.max_edges()
-        if p == 1.0:
-            picks = np.arange(total, dtype=np.int64)
-        else:
-            # geometric jumps through the linear pair index space
-            jumps: list[np.ndarray] = []
-            covered = 0
-            expect = int(total * p) + 1
-            while covered < total:
-                draw = rng.geometric(p, size=max(256, expect))
-                jumps.append(draw)
-                covered += int(draw.sum())
-            steps = np.concatenate(jumps).cumsum() - 1
-            picks = steps[steps < total]
+        # geometric jumps through the linear pair index space (at p = 1 every
+        # jump is 1, so every pair is picked)
+        jumps: list[np.ndarray] = []
+        covered = 0
+        expect = int(total * p) + 1
+        while covered < total:
+            draw = rng.geometric(p, size=max(256, expect))
+            jumps.append(draw)
+            covered += int(draw.sum())
+        steps = np.concatenate(jumps).cumsum() - 1
+        picks = steps[steps < total]
         # linear index over the n*(n-1) ordered non-loop pairs
         src, off = picks // (n - 1), picks % (n - 1)
         dst = np.where(off < src, off, off + 1)

@@ -191,7 +191,9 @@ class TestTransientServerErrors:
     @pytest.mark.parametrize(
         "status, retry_after, pause",
         [(503, "3", 3.0), (429, "3", 3.0), (503, "1", 2.0), (503, "90", 10.0),
-         (503, "Wed, 21 Oct 2015 07:28:00 GMT", 2.0)],
+         (503, "Wed, 21 Oct 2015 07:28:00 GMT", 2.0),
+         # Latin-1 "²" and "³" pass str.isdigit but are no delta-seconds
+         (503, "\xb2", 2.0), (429, "\xb3", 2.0)],
     )
     def test_retry_after_seconds_lengthen_the_pause(self, status, retry_after, pause):
         txs = [ripple_tx(i, T0 + i) for i in range(3)]
@@ -832,8 +834,9 @@ class TestKeptAliveTransport:
         (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"1" * 65_536 + b"\r\n\r\n{}", [5.0]),
         (b"HTTP/1.1 200 OK\r\n" + b"X-Pad: 1\r\n" * 99 + b"Content-Length: %d\r\n\r\n%s"
          % (len(_PAGE), _PAGE), []),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n{}", [5.0]),
     ], ids=["no-response", "truncated-chunk", "malformed-status", "not-http", "101-headers",
-            "line-over-64KiB", "100-headers"])
+            "line-over-64KiB", "100-headers", "latin1-digit-length"])
     def test_malformed_response_takes_one_pause_then_the_retry_succeeds(self, first, pauses):
         answers = iter([first, _PAGE_RESPONSE])
         taken = []
@@ -841,6 +844,15 @@ class TestKeptAliveTransport:
             result = fetch_transactions(ripple_job(server.url), sleep=taken.append)
         assert len(result.records) == 3
         assert taken == pauses
+
+    def test_latin1_digit_content_length_is_malformed(self):
+        # "²" passes str.isdigit, so it used to reach int() and fail there
+        raw = b"HTTP/1.1 200 OK\r\nContent-Length: \xb2\r\n\r\n{}"
+        with OneShotServer(lambda path, query: raw) as server:
+            with pytest.raises(FetchError) as exc:
+                fetch_transactions(ripple_job(server.url), policy=BackoffPolicy(max_retries=0),
+                                   sleep=lambda s: None)
+        assert "malformed Content-Length '\xb2'" in exc.value.failed_ranges[0]
 
     def test_https_to_a_plain_http_server_fails_the_handshake_and_the_range(self):
         pauses = []

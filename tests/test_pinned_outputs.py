@@ -146,6 +146,32 @@ def test_gnm_arcs_pinned(case, expected):
     assert hashlib.sha256(repr(arcs).encode()).hexdigest() == expected
 
 
+TWIN_CASES = [
+    # G(n, m) near saturation takes over 200 draw rounds; G(n, p) at p = 1
+    # is every pair, and a sparse G(n, p) is one geometric jump walk
+    ({"node_count": 300, "edge_count": 89_000, "seed": 1},
+     "49c968f8c531eca171a8adeaa61885624c4bea5a3cc45245fea80e97fb68d4f1"),
+    ({"node_count": 2, "edge_probability": 1.0, "seed": 1},
+     "ccb1ac866b7d8de3db4992f9c5da769f92cd86385176a657eb30053355c72732"),
+    ({"node_count": 3, "edge_probability": 1.0, "seed": 2},
+     "272394ab1f2f8db99e7d9559d08f6c2cb868e28494a85871993f4c56fdc9f6df"),
+    ({"node_count": 300, "edge_probability": 1.0, "seed": 3},
+     "2483e1c971bbf06beaa7d72954c4b586c4fc4d01549ce2ac3b3e490f64dabdcf"),
+    ({"node_count": 2_000, "edge_probability": 0.002, "seed": 5},
+     "82782ee82d691d21cdf4ad905fd2f8f8311154af9b99e887186632bc8ed48e62"),
+]
+
+
+@pytest.mark.parametrize("spec,expected", TWIN_CASES,
+                         ids=["gnm-near-saturation", "gnp-1-n2", "gnp-1-n3", "gnp-1-n300",
+                              "gnp-sparse"])
+def test_twin_arc_arrays_pinned(spec, expected):
+    g = erdos_renyi(RandomGraphSpec(**spec))
+    if spec.get("edge_probability") == 1.0:
+        assert g.arc_count == g.node_count * (g.node_count - 1)
+    assert hashlib.sha256(g.tails.tobytes() + g.fwd_indices.tobytes()).hexdigest() == expected
+
+
 T0 = 1_598_918_400  # 2020-09-01T00:00:00Z
 
 
