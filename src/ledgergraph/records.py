@@ -13,20 +13,29 @@ json's own C escaper, so a line is byte for byte what
 
 The strict and lenient dump readers share one line loop, which checks each
 line into a plain 5-tuple; the readers wrap those as records without
-checking them again. One interning loop serves `ingest_dump` (those tuples
-to sorted arc keys, standard library only) and `build_graph` (records,
-which are such tuples; it imports the graph module when called).
+checking them again. A line in `write_dump`'s own layout with no escape in
+it (every line of a dump of plain ASCII addresses) is read by one regular
+expression, `_FAST_LINE`, which admits only what `json.loads` would decode
+into a valid record: the loop splits each side on `", "`, calls `int()` on
+the timestamp and checks the one rule the pattern cannot, one sender and
+one recipient on the account ledgers. Any other line, hand-written,
+escaped or damaged, goes through `json.loads` and the full checks, which
+name its error and its line.
+
+One interning loop serves `ingest_dump` (those tuples to sorted arc keys,
+standard library only) and `build_graph` (records, which are such tuples;
+it imports the graph module when called).
 """
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 import math
+import re
 from collections import defaultdict, namedtuple
-from dataclasses import asdict, dataclass
 from itertools import count, groupby
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
@@ -39,6 +48,15 @@ SINGLE_PAIR_LEDGERS = frozenset({"ethereum", "ethereum_internal", "ripple"})
 RIPPLE_PAYMENT = "Payment"
 # one dump line: the keys in the order sort_keys gives, json.dumps' separators
 _LINE = '{"ledger": %s, "recipients": [%s], "senders": [%s], "timestamp": %d, "tx_kind": %s}\n'
+# a line of that layout that json.loads decodes into a valid record: strings
+# without a quote, backslash or control character (JSON would need an escape),
+# non-empty sides of non-empty addresses, JSON's integer grammar in ASCII
+# digits, no more of them than the lowest int-to-string limit Python allows
+_STRING = r'[^"\\\x00-\x1f]'
+_SIDE = rf'\["({_STRING}+(?:", "{_STRING}+)*)"\]'
+_FAST_LINE = re.compile(
+    rf'\{{"ledger": "({"|".join(LEDGERS)})", "recipients": {_SIDE}, "senders": {_SIDE}, '
+    rf'"timestamp": (-?(?:0|[1-9][0-9]{{0,639}})), "tx_kind": "({_STRING}*)"\}}\n?')
 
 
 class RecordSchemaError(ValueError):
@@ -113,6 +131,7 @@ def _checked(obj: object) -> tuple:
 def iso_seconds(text: str) -> int:
     """Unix seconds of an ISO-8601 date or datetime. A trailing Z and a time
     with no zone both mean UTC; any other text raises ValueError."""
+    import datetime as _dt  # only `fetch` parses dates
     moment = _dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     if moment.tzinfo is None:
         moment = moment.replace(tzinfo=_dt.timezone.utc)
@@ -132,8 +151,16 @@ def write_dump(records: Iterable[TransactionRecord], stream: IO[str]) -> int:
 def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[tuple]]:
     """Checked rows (see `_checked`) of a dump in file order, or None for
     each line that is not valid JSON when not `strict`. A schema violation
-    always raises."""
+    always raises, and so does a line Python cannot decode: a number too
+    long or arrays nested too deep."""
+    fast = _FAST_LINE.fullmatch
     for lineno, line in enumerate(stream, start=1):
+        if match := fast(line):
+            ledger, recipients, senders, timestamp, tx_kind = match.groups()
+            senders, recipients = tuple(senders.split('", "')), tuple(recipients.split('", "'))
+            if ledger in UTXO_LEDGERS or len(senders) == len(recipients) == 1:
+                yield ledger, senders, recipients, int(timestamp), tx_kind
+                continue  # else json.loads and _checked name the error
         if not line.strip():
             continue
         try:
@@ -143,6 +170,10 @@ def _read_lines(stream: IO[str], strict: bool) -> Iterator[Optional[tuple]]:
                 raise RecordSchemaError(f"line {lineno}: not valid JSON ({exc.msg})") from None
             yield None
             continue
+        except ValueError:  # an integer past sys.get_int_max_str_digits()
+            raise RecordSchemaError(f"line {lineno}: number too long to read") from None
+        except RecursionError:
+            raise RecordSchemaError(f"line {lineno}: nested too deep to read") from None
         try:
             yield _checked(obj)
         except RecordSchemaError as exc:
@@ -189,21 +220,23 @@ def map_to_edges(record: TransactionRecord) -> list[tuple[str, str]]:
     return [(s, r) for s in senders for r in recipients]
 
 
-@dataclass
-class IngestionStats:
-    """Counters from one build: how many transactions became what."""
+class IngestionStats(SimpleNamespace):
+    """Counters from one build: how many transactions became what;
+    `binary_connections` counts address pairs before dedup, self-pairs
+    included. A namespace, so it has a keyword repr and compares by its
+    counters."""
 
-    transactions: int = 0
-    binary_connections: int = 0  # address pairs before dedup, self-pairs included
-    unique_arcs: int = 0
-    self_loops: int = 0
-    edge_reuse_ratio: float = 0.0
-    skipped_records: int = 0
-    nodes: int = 0
+    def __init__(self, transactions: int = 0, binary_connections: int = 0,
+                 unique_arcs: int = 0, self_loops: int = 0, edge_reuse_ratio: float = 0.0,
+                 skipped_records: int = 0, nodes: int = 0) -> None:
+        super().__init__(transactions=transactions, binary_connections=binary_connections,
+                         unique_arcs=unique_arcs, self_loops=self_loops,
+                         edge_reuse_ratio=edge_reuse_ratio, skipped_records=skipped_records,
+                         nodes=nodes)
 
     def to_json_dict(self) -> dict:
         ratio = self.transactions / self.nodes if self.nodes else 0.0
-        return {**asdict(self), "transactions_to_addresses_ratio": ratio}
+        return {**vars(self), "transactions_to_addresses_ratio": ratio}
 
 
 def _intern(rows: Iterable[Optional[tuple]],

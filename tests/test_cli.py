@@ -606,6 +606,21 @@ def test_non_finite_dump_timestamp_exits_three(tmp_path, capsys, command, stamp)
                                        "timestamp must be a number (unix seconds)\n")
 
 
+@pytest.mark.parametrize("command", ["build", "fetch"])
+def test_dump_number_too_long_to_read_exits_three(tmp_path, capsys, command):
+    dump = tmp_path / "dump.ndjson"
+    write_fixture_dump(dump, count=3)
+    with open(dump, "a") as fh:  # past Python's int-to-string limit of 4,300 digits
+        fh.write('{"ledger": "ripple", "recipients": ["b"], "senders": ["a"], '
+                 f'"timestamp": {"9" * 4301}, "tx_kind": "Payment"}}\n')
+    window = ["--ledger", "ripple", "--from", "2020-09-01", "--to", "2020-09-02"]
+    argv = [command, *(window if command == "fetch" else []), "--in", str(dump),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"ledgergraph {command}: line 4: number too long to read\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_on_metrics_json(tmp_path, capsys):
     dump = tmp_path / "dump.ndjson"
     write_fixture_dump(dump)

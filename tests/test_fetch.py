@@ -924,7 +924,8 @@ def test_build_and_report_load_neither_numpy_nor_fetch(tmp_path):
                                       "Payment") for i in range(40)], fh)
     code = ("import sys; from ledgergraph.cli import main; code = main(sys.argv[1:]); "
             "loaded = {'numpy', 'ledgergraph.graph', 'ledgergraph.fetch', 'http.client', "
-            "'ssl'} & set(sys.modules); assert not loaded, loaded; sys.exit(code)")
+            "'ssl', 'dataclasses', 'inspect', 'datetime'} & set(sys.modules); "
+            "assert not loaded, loaded; sys.exit(code)")
 
     def child(*argv):
         subprocess.run([sys.executable, "-c", code, *argv], env=_python_env(), check=True,

@@ -1,9 +1,11 @@
 import io
 import json
 import random
+import re
 
 import pytest
 
+from ledgergraph import records
 from ledgergraph.records import (
     RecordSchemaError,
     TransactionRecord,
@@ -321,3 +323,130 @@ def test_ingest_dump_matches_build_graph_of_the_lenient_reader():
     assert addresses == ["s1", "r1", "r2", "s2", "rA", "d1", "d2", "0xa", "rB"]
     assert (stats.transactions, stats.skipped_records, stats.binary_connections,
             stats.self_loops, stats.unique_arcs) == (7, 2, 4 + 1 + 4 + 1 + 2, 2, 9)
+
+
+# -- the layout fast path: lines in write_dump's layout skip json.loads --------
+
+def _written(*records):
+    buf = io.StringIO()
+    write_dump(records, buf)
+    return buf.getvalue()
+
+
+_LONG = "9" * 4301  # past Python's default int-to-string limit of 4,300 digits
+_T = '"timestamp": 1598918400'
+_WRITTEN_SHAPES = {
+    "every-ledger-and-kind": _written(*(rec(ledger=ledger, tx_kind=kind)
+                                        for ledger in records.LEDGERS
+                                        for kind in ("", "Payment", "OfferCreate", "transfer"))),
+    "repeats-within-a-side": _written(rec(ledger="bitcoin", senders=("a", "b", "a"),
+                                          recipients=("c", "c", "a"), tx_kind="transfer")),
+    "quote-and-backslash": _written(rec(senders=('say "hi"',), recipients=("back\\slash",))),
+    "non-ascii-and-controls": _written(rec(ledger="dogecoin", senders=("é", "€"),
+                                           recipients=("\t", "\x7f"), tx_kind=" ")),
+    "timestamps": _written(*(rec(timestamp=stamp) for stamp in (
+        0, -1, 2**63, -(2**70), 10**639, -(10**639), 10**640, 10**4299))),
+    "separators-in-strings": _written(rec(senders=("a b",), recipients=(" ",),
+                                          tx_kind=" / {}[],:")),
+}
+_NEAR_MISSES = {
+    "leading-zero": _written(rec()).replace(_T, '"timestamp": 01598918400'),
+    "arabic-indic-digits": _written(rec()).replace(_T, '"timestamp": ١٥'),
+    "minus-zero": _written(rec()).replace(_T, '"timestamp": -0'),
+    "float-timestamp": _written(rec()).replace(_T, '"timestamp": 1598918400.5'),
+    "long-timestamp": _written(rec()).replace(_T, f'"timestamp": {_LONG}'),
+    "long-negative-timestamp": _written(rec()).replace(_T, f'"timestamp": -{_LONG}'),
+    "raw-tab": _written(rec()).replace('"rA"', '"r\tA"'),  # json.loads rejects it
+    "raw-nul": _written(rec()).replace('"rA"', '"r\x00A"'),
+    "raw-non-ascii": _written(rec()).replace('"rA"', '"réA"'),  # valid JSON
+    "raw-lone-surrogate": _written(rec()).replace('"rA"', '"\ud800"'),  # valid JSON too
+    "raw-del": _written(rec()).replace('"rA"', '"r\x7fA"'),
+    "empty-address": _written(rec()).replace('"rA"', '""'),
+    "empty-side": _written(rec()).replace('["rA"]', '[]'),
+    "two-senders-on-ripple": _written(rec()).replace('["rA"]', '["rA", "rC"]'),
+    "two-recipients-on-ripple": _written(rec()).replace('["rB"]', '["rB", "rB"]'),
+    "unknown-ledger": _written(rec()).replace('"ripple"', '"monero"'),
+    "ledger-case": _written(rec()).replace('"ripple"', '"Ripple"'),
+    "null-kind": _written(rec()).replace('"Payment"', 'null'),
+    "no-kind": _written(rec()).replace(', "tx_kind": "Payment"', ''),
+    "long-extra-field": _written(rec()).replace(', "tx_kind"', f', "fee": {_LONG}, "tx_kind"'),
+    "reordered-keys": '{"tx_kind": "Payment", "timestamp": 5, "senders": ["a"], '
+                      '"recipients": ["b"], "ledger": "ripple"}\n',
+    "duplicated-key-first": _written(rec()).replace('{"ledger": "ripple"',
+                                                    '{"ledger": "monero", "ledger": "ripple"'),
+    "duplicated-key-last": _written(rec()).replace('"ledger": "ripple"',
+                                                   '"ledger": "ripple", "ledger": "bitcoin"'),
+    "extra-space": _written(rec()).replace('", "', '",  "'),
+    "no-spaces": _written(rec()).replace(": ", ":"),
+    "leading-space": " " + _written(rec()),
+    "trailing-space": _written(rec()).replace("}\n", "} \n"),
+    "crlf": _written(rec()).replace("\n", "\r\n"),
+    "trailing-comma": _written(rec()).replace('["rA"]', '["rA",]'),
+    "two-objects": _written(rec()).rstrip("\n") + "{",
+    "truncated": _written(rec())[:-10] + "\n",
+    "array": "[1, 2]\n",
+    "blank": "\n",
+}
+_CASES = {**_WRITTEN_SHAPES, **_NEAR_MISSES}
+
+
+def _outcome(read, text):
+    """What one reader makes of `text`, its result or its error message, as
+    a repr: a timestamp read as a bool or a float would compare equal."""
+    try:
+        result = read(io.StringIO(text))
+        return repr(result if isinstance(result, tuple) else list(result))
+    except RecordSchemaError as exc:
+        return f"RecordSchemaError: {exc}"
+
+
+@pytest.mark.parametrize("text", list(_CASES.values()), ids=list(_CASES))
+def test_the_fast_path_reads_like_json_loads(text, monkeypatch):
+    documents = [text, _written(rec(), rec(ledger="bitcoin")) + "\n" + text,
+                 text.rstrip("\n")]  # no final newline
+    readers = (read_dump, read_dump_lenient, ingest_dump)
+    fast = [_outcome(read, doc) for doc in documents for read in readers]
+    monkeypatch.setattr(records, "_FAST_LINE", re.compile("(?!)"))  # json.loads every line
+    assert fast == [_outcome(read, doc) for doc in documents for read in readers]
+
+
+def test_every_written_line_without_a_backslash_takes_the_fast_path(monkeypatch):
+    rng = random.Random(30)
+    plain = ["a", "Z", "0", " ", "/", ",", ":", "{", "]", "~", "-", "_"]
+    written = []
+    for _ in range(400):
+        ledger = rng.choice(records.LEDGERS)
+        width = 4 if ledger in records.UTXO_LEDGERS else 1
+        pick = _awkward_address if rng.random() < 0.2 else (
+            lambda r: "".join(r.choice(plain) for _ in range(r.randrange(1, 9))))
+        written.append(TransactionRecord(
+            ledger, tuple(pick(rng) for _ in range(rng.randrange(1, width + 1))),
+            tuple(pick(rng) for _ in range(rng.randrange(1, width + 1))),
+            rng.choice([0, -7, 1_598_918_400, 10**639 + 1, 2**64]),
+            rng.choice(["", "Payment", "OfferCreate", "transfer", pick(rng)])))
+    text = _written(*written)
+    lines = text.splitlines(keepends=True)
+    fast = [line for line in lines if records._FAST_LINE.fullmatch(line)]
+    assert fast == [line for line in lines if "\\" not in line]
+    assert 0 < len(fast) < len(lines)
+
+    def no_json(*_):
+        raise AssertionError("json.loads called on a line of the fast path")
+
+    monkeypatch.setattr(json, "loads", no_json)
+    assert list(read_dump(io.StringIO("".join(fast)))) == \
+        [r for r, line in zip(written, lines) if line in fast]
+
+
+@pytest.mark.parametrize("line, message", [
+    (_NEAR_MISSES["long-timestamp"], "number too long to read"),
+    (_written(rec(ledger="bitcoin")).replace(_T, f'"timestamp": -{_LONG}'),
+     "number too long to read"),
+    (_NEAR_MISSES["long-extra-field"], "number too long to read"),
+    ("[" * 100_000 + "\n", "nested too deep to read"),
+], ids=["timestamp", "negative-utxo-timestamp", "extra-field", "deep-arrays"])
+def test_a_line_python_cannot_decode_is_a_schema_error(line, message):
+    text = _written(rec()) + line
+    for read in (read_dump, read_dump_lenient, ingest_dump):
+        with pytest.raises(RecordSchemaError, match=f"^line 2: {message}$"):
+            list(read(io.StringIO(text)))
